@@ -314,7 +314,8 @@ std::optional<RegInfo> CompilerImpl::Emit(const NodePtr& node,
       return std::nullopt;
     }
     case NodeKind::kIdentifier:
-      // Signals are bound per-evaluation, not per-batch: scalar fallback.
+      // Signal references are bound to literals per pulse beforehand
+      // (expr/bind.h); one left over is array-valued: scalar fallback.
       // A bare `datum` evaluates to null in the interpreter.
       if (node->name == "datum") {
         out->push_back({VecOp::kLoadNullNum, 0});

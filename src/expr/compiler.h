@@ -3,11 +3,13 @@
 // evaluated without materializing per-row Values (see batch_eval.h for the
 // executor).
 //
-// Compilation is best-effort: expressions that depend on signals, arrays,
+// Compilation is best-effort: expressions that reference signals, arrays,
 // unsupported functions, or mix string and numeric operands return nullopt
 // and the caller falls back to the row-at-a-time scalar interpreter
-// (expr::Evaluate). Everything a compiled program computes is bit-identical
-// to the scalar interpreter over the same rows — the differential suite
+// (expr::Evaluate). Client-side callers bind signals first
+// (expr::BindSignals, expr/bind.h), which removes most signal references.
+// Everything a compiled program computes is bit-identical to the scalar
+// interpreter over the same rows — the differential suite
 // (tests/expr_vector_diff_test.cc) enforces this.
 #ifndef VEGAPLUS_EXPR_COMPILER_H_
 #define VEGAPLUS_EXPR_COMPILER_H_

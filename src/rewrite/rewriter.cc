@@ -81,7 +81,7 @@ void AddBinDerivedParams(const transforms::BinOp::Params& p, const std::string& 
       expr::EvalValue mb;
       if (signals.Lookup(p.maxbins_signal, &mb) && !mb.is_array() &&
           mb.scalar().is_numeric()) {
-        maxbins = static_cast<int>(mb.scalar().AsDouble());
+        maxbins = transforms::MaxbinsFrom(mb.scalar().AsDouble(), p.maxbins);
       }
     }
     transforms::Binning bin = transforms::ComputeBinning(

@@ -1,6 +1,7 @@
 #include "spec/transform_factory.h"
 
 #include "expr/parser.h"
+#include "transforms/binning.h"
 
 namespace vegaplus {
 namespace spec {
@@ -112,7 +113,7 @@ Result<std::unique_ptr<dataflow::Operator>> BuildTransformOp(const TransformSpec
     }
     if (const json::Value* mb = p.Find("maxbins")) {
       if (mb->is_number()) {
-        params.maxbins = static_cast<int>(mb->AsDouble());
+        params.maxbins = transforms::MaxbinsFrom(mb->AsDouble(), params.maxbins);
       } else if (mb->is_object()) {
         params.maxbins_signal = mb->GetString("signal");
       }

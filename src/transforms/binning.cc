@@ -1,7 +1,9 @@
 #include "transforms/binning.h"
 
+#include <algorithm>
 #include <cmath>
 #include <initializer_list>
+#include <limits>
 
 namespace vegaplus {
 namespace transforms {
@@ -30,6 +32,12 @@ Binning ComputeBinning(double lo, double hi, int maxbins) {
   b.stop = std::ceil(hi / step) * step;
   if (b.stop <= b.start) b.stop = b.start + step;
   return b;
+}
+
+int MaxbinsFrom(double value, int fallback) {
+  if (!std::isfinite(value)) return fallback;
+  const double max_int = std::numeric_limits<int>::max();
+  return static_cast<int>(std::clamp(value, 1.0, max_int));
 }
 
 }  // namespace transforms

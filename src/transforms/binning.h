@@ -17,6 +17,12 @@ struct Binning {
 /// Degenerate extents (hi <= lo) yield a single unit bin at lo.
 Binning ComputeBinning(double lo, double hi, int maxbins);
 
+/// A maxbins count from a number (a signal value or a spec literal). A
+/// non-finite value yields `fallback`, the transform's static maxbins. A
+/// finite one is clamped to [1, INT_MAX] and then truncated, which keeps
+/// the binning of every in-range value and never casts out of range.
+int MaxbinsFrom(double value, int fallback);
+
 }  // namespace transforms
 }  // namespace vegaplus
 

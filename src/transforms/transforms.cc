@@ -7,6 +7,7 @@
 #include "common/parallel.h"
 #include "common/str_util.h"
 #include "expr/batch_eval.h"
+#include "expr/bind.h"
 #include "expr/compiler.h"
 #include "expr/functions.h"
 #include "transforms/binning.h"
@@ -109,10 +110,12 @@ Result<EvalResult> FilterOp::Evaluate(const TablePtr& input,
   keep.reserve(input->num_rows());
   bool vectorized = false;
   if (expr::VectorizedEnabled()) {
-    // Signal-free predicates compile to a vector program (often the fused
-    // column-compare fast path) and filter morsel-parallel; signal-dependent
-    // ones fall back to the scalar interpreter below.
-    if (auto program = expr::Compiler::Compile(predicate_, input->schema())) {
+    // The predicate is bound to this pulse's signal values first, so brush
+    // and click filters compile to a vector program (often the fused
+    // column-compare fast path) and filter morsel-parallel. What still does
+    // not compile runs the original tree on the scalar interpreter below.
+    if (auto program = expr::Compiler::Compile(expr::BindSignals(predicate_, signals),
+                                               input->schema())) {
       expr::RunFilterMorselParallel(*input, *program, &keep);
       vectorized = true;
     }
@@ -194,7 +197,7 @@ Result<EvalResult> BinOp::Evaluate(const TablePtr& input,
     expr::EvalValue mb;
     if (signals.Lookup(params_.maxbins_signal, &mb) && !mb.is_array() &&
         mb.scalar().is_numeric()) {
-      maxbins = static_cast<int>(mb.scalar().AsDouble());
+      maxbins = MaxbinsFrom(mb.scalar().AsDouble(), params_.maxbins);
     }
   }
   Binning bin = ComputeBinning(extent.array()[0].AsDouble(),
@@ -733,9 +736,11 @@ Result<EvalResult> FormulaOp::Evaluate(const TablePtr& input,
   Column out(DataType::kFloat64);
   bool vectorized = false;
   if (expr::VectorizedEnabled()) {
-    // Signal-free formulas execute column-at-a-time; the compiler's static
-    // result type replaces the scalar path's first-non-null inference.
-    if (auto program = expr::Compiler::Compile(expression_, input->schema())) {
+    // Formulas bound to this pulse's signal values execute column-at-a-time;
+    // the compiler's static result type replaces the scalar path's
+    // first-non-null inference.
+    if (auto program = expr::Compiler::Compile(expr::BindSignals(expression_, signals),
+                                               input->schema())) {
       DataType type;
       switch (program->result_kind) {
         case expr::RegKind::kStr: type = DataType::kString; break;

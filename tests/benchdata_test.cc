@@ -5,7 +5,11 @@
 #include "benchdata/datasets.h"
 #include "benchdata/templates.h"
 #include "benchdata/workload.h"
+#include "expr/bind.h"
+#include "expr/compiler.h"
+#include "expr/parser.h"
 #include "plan/enumerator.h"
+#include "spec/transform_factory.h"
 
 namespace vegaplus {
 namespace benchdata {
@@ -108,6 +112,66 @@ TEST(TemplatesTest, FieldChoicesVaryWithSeed) {
     exprs.insert(spec->signals[0].init.AsString());  // initial field choice
   }
   EXPECT_GT(exprs.size(), 1u);
+}
+
+// Every filter and formula of every template binds, under the initial
+// signals and after each of 20 interactions, to a tree the vector compiler
+// accepts: client-side execution of the paper's dashboards never falls back
+// to the row interpreter. Each pipeline runs as it would on the client, so
+// every expression compiles against the schema its transform really sees.
+TEST(TemplatesTest, FiltersAndFormulasBindToVectorPrograms) {
+  size_t checked = 0;
+  for (TemplateId id : AllTemplates()) {
+    for (const std::string& dataset : DatasetNames()) {
+      auto bc = MakeBenchCase(id, dataset, 500, 11);
+      ASSERT_TRUE(bc.ok()) << TemplateName(id) << " on " << dataset;
+      expr::MapSignalResolver signals;
+      for (const spec::SignalSpec& s : bc->spec.signals) {
+        signals.Set(s.name, expr::EvalValue::FromJson(s.init));
+      }
+      WorkloadGenerator workload(bc->spec, 3);
+      for (int draw = 0; draw <= 20; ++draw) {
+        std::string state = "initial signals";
+        if (draw > 0) {
+          Interaction interaction = workload.Next();
+          for (const auto& [name, value] : interaction.updates) signals.Set(name, value);
+          state = "after " + interaction.description;
+        }
+        std::map<std::string, data::TablePtr> outputs;
+        for (const spec::DataSpec& entry : bc->spec.data) {
+          data::TablePtr table =
+              entry.source.empty() ? bc->dataset.table : outputs.at(entry.source);
+          for (const spec::TransformSpec& ts : entry.transforms) {
+            if (ts.type == "filter" || ts.type == "formula") {
+              const std::string text = ts.params.GetString("expr");
+              auto parsed = expr::ParseExpression(text);
+              ASSERT_TRUE(parsed.ok()) << text;
+              std::vector<std::string> fields, unused;
+              expr::CollectReferences(*parsed, &fields, &unused);
+              for (const std::string& f : fields) {
+                ASSERT_GE(table->schema().FieldIndex(f), 0) << text << " reads " << f;
+              }
+              const expr::NodePtr bound = expr::BindSignals(*parsed, signals);
+              EXPECT_TRUE(expr::Compiler::Compile(bound, table->schema()).has_value())
+                  << TemplateName(id) << " on " << dataset << ", " << state << ": " << text
+                  << " bound to " << expr::ToString(bound) << " does not compile";
+              ++checked;
+            }
+            auto op = spec::BuildTransformOp(ts);
+            ASSERT_TRUE(op.ok()) << op.status();
+            auto result = (*op)->Evaluate(table, signals);
+            ASSERT_TRUE(result.ok()) << result.status();
+            for (const auto& [name, value] : result->signal_writes) signals.Set(name, value);
+            table = result->table;
+          }
+          outputs[entry.name] = table;
+        }
+      }
+    }
+  }
+  // Five templates filter on signals; a template rename or a pipeline
+  // change that hides them must not turn this into a vacuous pass.
+  EXPECT_GE(checked, 5u * DatasetNames().size() * 21);
 }
 
 TEST(WorkloadTest, GeneratesValidUpdates) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "benchdata/datasets.h"
 #include "common/random.h"
@@ -132,6 +133,32 @@ TEST_P(DifferentialTest, ExtentBinAggregateAgree) {
             "fields":[null],"as":["count"]}])x",
       Q(0).c_str(), Q(0).c_str());
   CheckPipeline(json, {"bin0", "count"}, &signals);
+}
+
+// A maxbins that is no finite count: NaN and ±Inf keep the transform's
+// static maxbins, and finite values clamp to [1, INT_MAX], on the client
+// (BinOp) and in the server's derived bin params alike. A plain cast of
+// these doubles to int is undefined behaviour, which the UBSan job checks.
+TEST_P(DifferentialTest, NonFiniteAndHugeMaxbinsAgree) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::string pipeline = R"x([{"type":"extent","field":"%s","signal":"e"},
+           {"type":"bin","field":"%s","extent":{"signal":"e"},
+            "maxbins":%s,"as":["bin0","bin1"]},
+           {"type":"aggregate","groupby":["bin0","bin1"],"ops":["count"],
+            "fields":[null],"as":["count"]}])x";
+  for (double mb : {std::nan(""), inf, -inf, 1e300, -1e300}) {
+    SCOPED_TRACE("maxbins signal " + FormatDouble(mb));
+    dataflow::SignalRegistry signals;
+    signals.Set("mb", expr::EvalValue::Number(mb), 0);
+    CheckPipeline(StrFormat(pipeline.c_str(), Q(0).c_str(), Q(0).c_str(), R"({"signal":"mb"})"),
+                  {"bin0", "count"}, &signals);
+  }
+  for (const char* mb : {"1e300", "-1e300"}) {
+    SCOPED_TRACE(std::string("maxbins literal ") + mb);
+    dataflow::SignalRegistry signals;
+    CheckPipeline(StrFormat(pipeline.c_str(), Q(0).c_str(), Q(0).c_str(), mb),
+                  {"bin0", "count"}, &signals);
+  }
 }
 
 TEST_P(DifferentialTest, GroupedStatisticsAgree) {

@@ -2,6 +2,7 @@
 
 #include "benchdata/templates.h"
 #include "benchdata/workload.h"
+#include "expr/batch_eval.h"
 #include "rewrite/vdt.h"
 #include "runtime/cache.h"
 #include "runtime/middleware.h"
@@ -414,32 +415,62 @@ TEST(BaselineTest, VegaFusionBeatsVegaAtScaleOnInit) {
   EXPECT_LT(fusion_init->total_ms, vega_init->total_ms);
 }
 
-TEST(BaselineTest, BaselinesAgreeOnVisualizationData) {
-  auto bc = benchdata::MakeBenchCase(TemplateId::kOverviewDetail, "taxis", 4000, 33);
-  ASSERT_TRUE(bc.ok());
-  sql::Engine engine;
-  engine.RegisterTable(bc->dataset.name, bc->dataset.table);
-  std::map<std::string, data::TablePtr> tables{{bc->dataset.name, bc->dataset.table}};
+// End-to-end output oracle: Vega (every transform client-side, so every
+// signal-reading filter runs in FilterOp) against VegaFusion (full
+// pushdown), mark data compared with Table::Equals after each interaction,
+// on every interactive template and dataset, with the vectorizer on and off.
+class BaselineAgreementTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override { expr::SetVectorizedEnabled(GetParam()); }
+  void TearDown() override { expr::SetVectorizedEnabled(true); }
+};
 
-  VegaBaselineExecutor vega(bc->spec, tables);
-  ASSERT_TRUE(vega.Initialize().ok());
-  VegaFusionBaselineExecutor fusion(bc->spec, &engine, {});
-  ASSERT_TRUE(fusion.Initialize().ok());
+TEST_P(BaselineAgreementTest, BaselinesAgreeOnVisualizationData) {
+  size_t comparisons = 0;
+  for (TemplateId id : benchdata::AllTemplates()) {
+    if (!benchdata::IsInteractive(id)) continue;
+    for (const char* dataset : {"flights", "movies", "weather", "taxis"}) {
+      const std::string where =
+          std::string(benchdata::TemplateName(id)) + " on " + dataset;
+      auto bc = benchdata::MakeBenchCase(id, dataset, 4000, 33);
+      ASSERT_TRUE(bc.ok()) << where << ": " << bc.status();
+      sql::Engine engine;
+      engine.RegisterTable(bc->dataset.name, bc->dataset.table);
+      std::map<std::string, data::TablePtr> tables{{bc->dataset.name, bc->dataset.table}};
 
-  benchdata::WorkloadGenerator workload(bc->spec, 5);
-  for (int i = 0; i < 4; ++i) {
-    auto interaction = workload.Next();
-    ASSERT_TRUE(vega.Interact(interaction.updates).ok()) << interaction.description;
-    ASSERT_TRUE(fusion.Interact(interaction.updates).ok()) << interaction.description;
+      VegaBaselineExecutor vega(bc->spec, tables);
+      ASSERT_TRUE(vega.Initialize().ok()) << where;
+      VegaFusionBaselineExecutor fusion(bc->spec, &engine, {});
+      ASSERT_TRUE(fusion.Initialize().ok()) << where;
+
+      benchdata::WorkloadGenerator workload(bc->spec, 5);
+      for (int i = 0; i < 20; ++i) {
+        auto interaction = workload.Next();
+        ASSERT_TRUE(vega.Interact(interaction.updates).ok())
+            << where << ": " << interaction.description;
+        ASSERT_TRUE(fusion.Interact(interaction.updates).ok())
+            << where << ": " << interaction.description;
+        for (const auto& m : bc->spec.marks) {
+          data::TablePtr a = vega.EntryOutput(m.from_data);
+          data::TablePtr b = fusion.EntryOutput(m.from_data);
+          ASSERT_NE(a, nullptr) << where << " " << m.from_data;
+          ASSERT_NE(b, nullptr) << where << " " << m.from_data;
+          EXPECT_TRUE(a->Equals(*b))
+              << where << " " << m.from_data << " after interaction " << i << " ("
+              << interaction.description << ")\nvega:\n"
+              << a->ToString(8) << "vegafusion:\n" << b->ToString(8);
+          ++comparisons;
+        }
+      }
+    }
   }
-  for (const auto& m : bc->spec.marks) {
-    data::TablePtr a = vega.EntryOutput(m.from_data);
-    data::TablePtr b = fusion.EntryOutput(m.from_data);
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    EXPECT_EQ(a->num_rows(), b->num_rows()) << m.from_data;
-  }
+  EXPECT_EQ(comparisons, 1040u);  // 13 marks x 4 datasets x 20 interactions
 }
+
+INSTANTIATE_TEST_SUITE_P(Vectorizer, BaselineAgreementTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? std::string("on") : std::string("off");
+                         });
 
 TEST(PlanExecutorTest, InteractBeforeInitializeFails) {
   auto bc = benchdata::MakeBenchCase(TemplateId::kInteractiveHistogram, "movies", 500, 2);
