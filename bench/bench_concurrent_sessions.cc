@@ -356,9 +356,8 @@ int main() {
     std::printf("chunks_pruned=%zu chunks_paged_in=%zu resident_bytes=%zu\n",
                 stats.storage_chunks_pruned, stats.storage_chunks_paged_in,
                 stats.storage_resident_bytes);
-    std::printf("kernel_bitmap=%zu kernel_index=%zu kernel_scalar_fallbacks=%zu\n",
-                stats.kernel_bitmap_selections, stats.kernel_index_selections,
-                stats.kernel_scalar_fallbacks);
+    std::printf("kernel_bitmap=%zu kernel_index=%zu\n", stats.kernel_bitmap_selections,
+                stats.kernel_index_selections);
     json::Value row = json::Value::MakeObject();
     row.Set("sessions", kShardSessions);
     row.Set("queries", kShardSessions * kShardQueries);
@@ -369,7 +368,6 @@ int main() {
     row.Set("storage_resident_bytes", stats.storage_resident_bytes);
     row.Set("kernel_bitmap_selections", stats.kernel_bitmap_selections);
     row.Set("kernel_index_selections", stats.kernel_index_selections);
-    row.Set("kernel_scalar_fallbacks", stats.kernel_scalar_fallbacks);
     reporter.AddMetric("out_of_core_shard", std::move(row));
     reporter.AddPhase("out_of_core_shard", shard_wall_ms);
     if (stats.storage_chunks_pruned == 0) {

@@ -14,11 +14,6 @@
 // both running the vectorized engine; VP_REQUIRE_DICT_SPEEDUP gates the
 // dictionary win (>=4x on string filter + group-by at 1M rows).
 //
-// Kernel workloads time the expr/kernels SIMD library directly (compare,
-// bitmap AND, bitmap->indices, gather, grouped sum) with the kill switch
-// off vs on, plus the whole fused-filter path at ~50% selectivity;
-// VP_REQUIRE_KERNEL_SPEEDUP gates the fused-filter win.
-//
 // Rows default to 1,000,000; VP_SIZES=<n> overrides (the largest entry is
 // used), which is how bench-smoke keeps CI runs short.
 #include <cstdio>
@@ -30,7 +25,6 @@
 #include "expr/batch_eval.h"
 #include "expr/compiler.h"
 #include "expr/evaluator.h"
-#include "expr/kernels/kernels.h"
 #include "expr/parser.h"
 #include "sql/engine.h"
 
@@ -226,123 +220,6 @@ Comparison CompareQuery(const sql::Engine& engine, const char* sql) {
   return c;
 }
 
-/// Runs `fn` with the SIMD kernels disabled (scalar fallback bodies) and
-/// enabled, best-of-kReps each. scalar_ms = kernels off, vector_ms = on.
-template <typename F>
-Comparison CompareKernelToggle(F fn) {
-  Comparison c;
-  kernels::SetSimdEnabled(false);
-  c.scalar_ms = TimeMs(fn);
-  kernels::SetSimdEnabled(true);
-  c.vector_ms = TimeMs(fn);
-  return c;
-}
-
-/// Per-kernel throughput rows plus the gated fused-filter comparison.
-/// Returns the fused-filter kernels-on speedup (the VP_REQUIRE_KERNEL_SPEEDUP
-/// gate value).
-double RunKernelBench(BenchReporter* reporter, const data::Table& table,
-                      size_t rows, uint64_t seed) {
-  // Inner repeats keep each timed region comfortably above timer noise at
-  // bench-smoke sizes.
-  const int iters = rows >= 1000000 ? 4 : 40;
-  Rng rng(seed ^ 0x5eedULL);
-  std::vector<double> vals(rows);
-  std::vector<uint8_t> valid(rows);
-  std::vector<int32_t> gather_idx(rows);
-  std::vector<uint32_t> group_of(rows);
-  for (size_t i = 0; i < rows; ++i) {
-    vals[i] = rng.Uniform(0, 1000);
-    valid[i] = rng.NextBool(0.02) ? 0 : 1;
-    gather_idx[i] = static_cast<int32_t>(rng.Index(rows));
-    group_of[i] = static_cast<uint32_t>(rng.Index(100));
-  }
-  std::vector<uint8_t> bits_a(rows), bits_b(rows);
-  kernels::CompareNumToBits(vals.data(), valid.data(), rows,
-                            kernels::Cmp::kGt, 500.0, bits_a.data());
-  kernels::CompareNumToBits(vals.data(), valid.data(), rows,
-                            kernels::Cmp::kLt, 900.0, bits_b.data());
-
-  std::printf("\n%-18s %12s %12s %10s\n", "kernel workload", "off_ms", "on_ms",
-              "speedup");
-
-  Comparison cmp = CompareKernelToggle([&] {
-    std::vector<uint8_t> out(rows);
-    for (int it = 0; it < iters; ++it) {
-      kernels::CompareNumToBits(vals.data(), valid.data(), rows,
-                                kernels::Cmp::kGt, 500.0, out.data());
-    }
-  });
-  Report(reporter, "kern_compare", cmp);
-
-  Comparison band = CompareKernelToggle([&] {
-    std::vector<uint8_t> out(rows);
-    for (int it = 0; it < iters; ++it) {
-      std::copy(bits_a.begin(), bits_a.end(), out.begin());
-      kernels::AndBits(out.data(), bits_b.data(), rows);
-    }
-  });
-  Report(reporter, "kern_bitmap_and", band);
-
-  Comparison toidx = CompareKernelToggle([&] {
-    std::vector<int32_t> sel;
-    for (int it = 0; it < iters; ++it) {
-      sel.clear();
-      kernels::BitsToIndices(bits_a.data(), rows, 0, &sel);
-    }
-  });
-  Report(reporter, "kern_to_indices", toidx);
-
-  Comparison gather = CompareKernelToggle([&] {
-    std::vector<double> out(rows);
-    for (int it = 0; it < iters; ++it) {
-      kernels::GatherDoubles(vals.data(), gather_idx.data(), rows, out.data());
-    }
-  });
-  Report(reporter, "kern_gather", gather);
-
-  Comparison gsum = CompareKernelToggle([&] {
-    std::vector<double> sums(100);
-    std::vector<uint64_t> counts(100);
-    std::vector<int32_t> rows_idx(rows);
-    for (size_t i = 0; i < rows; ++i) rows_idx[i] = static_cast<int32_t>(i);
-    kernels::NumSpan span;
-    span.vals = vals.data();
-    span.valid = valid.data();
-    for (int it = 0; it < iters; ++it) {
-      std::fill(sums.begin(), sums.end(), 0.0);
-      std::fill(counts.begin(), counts.end(), 0);
-      kernels::GroupedSum(span, rows_idx.data(), group_of.data(), 0, rows,
-                          sums.data(), counts.data());
-    }
-  });
-  Report(reporter, "kern_grouped_sum", gsum);
-
-  // The gated row: the whole fused-filter path (compare + selection build)
-  // kernels-on vs the scalar fallback, at ~50% selectivity where branchless
-  // compaction matters most.
-  expr::NodePtr pred = MustParse("datum.d > 500");
-  auto program = expr::Compiler::Compile(pred, table.schema());
-  if (!program) Die(Status::InvalidArgument("predicate did not compile"), "datum.d > 500");
-  size_t off_hits = 0, on_hits = 0;
-  Comparison fused = CompareKernelToggle([&] {
-    std::vector<int32_t> sel;
-    sel.reserve(table.num_rows());
-    for (int it = 0; it < iters; ++it) {
-      sel.clear();
-      expr::BatchEvaluator(table).RunFilter(*program, &sel);
-    }
-    (kernels::SimdEnabled() ? on_hits : off_hits) = sel.size();
-  });
-  if (off_hits != on_hits) {
-    Die(Status::RuntimeError(StrFormat("kernel filter mismatch: %zu vs %zu rows",
-                                       off_hits, on_hits)),
-        "datum.d > 500");
-  }
-  Report(reporter, "kern_filter_fused", fused);
-  return fused.speedup();
-}
-
 }  // namespace
 
 int main() {
@@ -411,8 +288,6 @@ int main() {
       engine, flat_engine, "SELECT s, d FROM t ORDER BY s DESC, d LIMIT 100");
   ReportEncoding(&reporter, "str_sort", str_sort);
 
-  const double kernel_gate = RunKernelBench(&reporter, *table, rows, config.seed);
-
   const double gate = std::min(
       {filter_fused.speedup(), filter_compound.speedup(), projection.speedup(),
        group_by.speedup()});
@@ -423,10 +298,6 @@ int main() {
   std::printf("minimum gated dictionary speedup (str filter/group-by): %.1fx\n",
               dict_gate);
   reporter.AddMetric("min_dict_speedup", json::Value(dict_gate));
-
-  std::printf("gated kernel speedup (fused filter, kernels on/off): %.1fx\n",
-              kernel_gate);
-  reporter.AddMetric("kernel_speedup", json::Value(kernel_gate));
 
   if (const char* env = std::getenv("VP_REQUIRE_SPEEDUP"); env != nullptr && env[0]) {
     double required = std::atof(env);
@@ -442,15 +313,6 @@ int main() {
     if (dict_gate < required) {
       std::fprintf(stderr, "FAIL: dictionary speedup %.1fx below required %.1fx\n",
                    dict_gate, required);
-      return 1;
-    }
-  }
-  if (const char* env = std::getenv("VP_REQUIRE_KERNEL_SPEEDUP");
-      env != nullptr && env[0]) {
-    double required = std::atof(env);
-    if (kernel_gate < required) {
-      std::fprintf(stderr, "FAIL: kernel speedup %.1fx below required %.1fx\n",
-                   kernel_gate, required);
       return 1;
     }
   }

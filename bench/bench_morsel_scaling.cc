@@ -1,5 +1,5 @@
 // Morsel-driven parallel execution scaling: group-by, filter, and projection
-// queries over a 1M+ row table, executed single-threaded (kill switch off)
+// queries over a 1M+ row table, executed single-threaded (the baseline)
 // and morsel-parallel at 1/2/4/8 threads. Verifies bit-identical results
 // against the single-threaded engine at every parallelism level, reports
 // wall-clock + speedup per condition (BENCH_morsel_scaling.json), and gates
@@ -104,12 +104,11 @@ int main() {
   const size_t thread_counts[] = {1, 2, 4, 8};
 
   for (const Workload& w : kWorkloads) {
-    // Baseline: the kill switch forces the single-threaded path end to end.
-    parallel::SetMorselParallelEnabled(false);
+    // Baseline: one thread forces the sequential path end to end.
+    parallel::SetMorselParallelism(1);
     data::TablePtr baseline_table;
     double baseline_ms = BestOf(engine, w.sql, iterations, &baseline_table);
-    parallel::SetMorselParallelEnabled(true);
-    std::printf("%16s %10s %12.1f %10s %10s\n", w.name, "off", baseline_ms, "1.00x",
+    std::printf("%16s %10s %12.1f %10s %10s\n", w.name, "base", baseline_ms, "1.00x",
                 "-");
     reporter.AddMetric(std::string(w.name) + "_baseline_ms",
                        json::Value(baseline_ms));

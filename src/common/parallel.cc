@@ -14,7 +14,6 @@ namespace parallel {
 
 namespace {
 
-std::atomic<bool> g_morsel_enabled{true};
 std::atomic<size_t> g_parallelism{0};     // 0 = hardware_concurrency
 std::atomic<size_t> g_morsel_rows{16384};
 
@@ -150,13 +149,6 @@ size_t EffectiveParallelism() {
 
 }  // namespace
 
-bool MorselParallelEnabled() {
-  return g_morsel_enabled.load(std::memory_order_relaxed);
-}
-void SetMorselParallelEnabled(bool enabled) {
-  g_morsel_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 size_t MorselParallelism() { return EffectiveParallelism(); }
 void SetMorselParallelism(size_t threads) {
   g_parallelism.store(threads, std::memory_order_relaxed);
@@ -170,8 +162,7 @@ void SetMorselRows(size_t rows) {
 void ParallelFor(size_t num_tasks, const std::function<void(size_t)>& fn,
                  const common::CancelToken* cancel) {
   if (num_tasks == 0) return;
-  const size_t workers =
-      MorselParallelEnabled() ? std::min(num_tasks, EffectiveParallelism()) : 1;
+  const size_t workers = std::min(num_tasks, EffectiveParallelism());
   if (workers <= 1) {
     for (size_t i = 0; i < num_tasks; ++i) {
       if (common::Fired(cancel)) return;

@@ -15,9 +15,8 @@
 //     morsel boundaries are a pure function of the input size and the
 //     configured morsel size — never of the thread count — so callers can
 //     merge per-morsel results in morsel order and get results that are
-//     bit-identical run to run, at any parallelism, and with the kill
-//     switch off.
-//  3. *Kill switch.* SetMorselParallelEnabled(false) routes every
+//     bit-identical run to run and at any parallelism.
+//  3. *One sequential path.* SetMorselParallelism(1) routes every
 //     ParallelFor through the inline sequential path (same chunking, same
 //     merge order) for debugging and differential testing.
 #ifndef VEGAPLUS_COMMON_PARALLEL_H_
@@ -32,19 +31,15 @@
 namespace vegaplus {
 namespace parallel {
 
-/// Global kill switch (default on). With parallelism disabled, ParallelFor
-/// runs tasks inline on the calling thread in index order.
+/// Number of threads (caller included) a ParallelFor may use. 0 (the
+/// default) means std::thread::hardware_concurrency(). At 1, ParallelFor
+/// runs tasks inline on the calling thread in index order. Benchmarks set
+/// this to measure scaling at fixed thread counts.
 ///
-/// The morsel knobs below are deprecated as a public configuration surface:
+/// The morsel knobs are deprecated as a public configuration surface:
 /// prefer runtime::EngineConfig (runtime/engine_config.h), which snapshots
 /// and applies every process-wide switch coherently. These free functions
 /// remain the storage owners.
-bool MorselParallelEnabled();
-void SetMorselParallelEnabled(bool enabled);
-
-/// Number of threads (caller included) a ParallelFor may use. 0 (the
-/// default) means std::thread::hardware_concurrency(). Benchmarks set this
-/// to measure scaling at fixed thread counts.
 size_t MorselParallelism();
 void SetMorselParallelism(size_t threads);
 

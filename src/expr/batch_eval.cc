@@ -1272,10 +1272,7 @@ void FilterTree(const std::vector<int32_t>& ops,
 void BatchEvaluator::RunFilter(const Program& p, std::vector<int32_t>* sel) const {
   const size_t n = table_.num_rows();
   const bool and_chain = !p.fused_preds.empty();
-  // OR-trees only take the bitmap pass when the SIMD kernels are on; with
-  // the kill switch off they fall through to the general register path,
-  // which is the genuine pre-kernel baseline for them.
-  if (and_chain || (!p.fused_tree_ops.empty() && kernels::SimdEnabled())) {
+  if (and_chain || !p.fused_tree_ops.empty()) {
     const std::vector<Program::FusedPred>& leaves =
         and_chain ? p.fused_preds : p.fused_tree_leaves;
     std::vector<PredState> preds;
@@ -1336,8 +1333,7 @@ namespace {
 
 /// True when a morsel decomposition is worth dispatching at all.
 bool MorselWorthIt(size_t num_morsels) {
-  return num_morsels > 1 && parallel::MorselParallelEnabled() &&
-         parallel::MorselParallelism() > 1;
+  return num_morsels > 1 && parallel::MorselParallelism() > 1;
 }
 
 /// Fused comparison ops map 1:1 onto zone-map ops; anything else (And/Or,

@@ -270,8 +270,8 @@ class BatchEvaluator {
 /// pool (common/parallel.h), and the per-morsel registers / selection
 /// vectors are stitched back together in morsel order. Every program op is
 /// elementwise, so the stitched result is bit-identical to a single
-/// full-batch run; single-morsel inputs and the kill-switch path go through
-/// BatchEvaluator directly.
+/// full-batch run; single-morsel inputs and one-thread configurations
+/// (parallel::SetMorselParallelism(1)) go through BatchEvaluator directly.
 ///
 /// `cancel` (optional) is polled at morsel checkpoints (common/cancel.h):
 /// once it fires, the remaining morsels are skipped and the return value /
@@ -302,8 +302,7 @@ struct GroupResult {
 /// Large inputs group morsel-parallel: each worker hash-groups one chunk of
 /// positions locally, and the per-chunk tables are merged in chunk order —
 /// group ids, representative rows, and group_of come out identical to the
-/// sequential first-seen scan for any thread count (and with the kill
-/// switch off).
+/// sequential first-seen scan for any thread count.
 GroupResult BuildGroups(const std::vector<const Vec*>& keys,
                         const std::vector<int32_t>& rows);
 
@@ -313,10 +312,10 @@ GroupResult BuildGroups(const std::vector<const Vec*>& keys,
 // COUNT(*) plus per-measure count/sum/min/max. These kernels are its morsel
 // inner loops: the caller runs one invocation per chunk (possibly in
 // parallel, each chunk into its own slots) and merges chunk results in
-// chunk order. Null handling and min/max update rules mirror the executor's
-// AccumulateAgg exactly — null cells are skipped, min/max initialize on the
-// first valid value and a NaN never replaces an existing extremum — so a
-// tile answer reproduces the base GROUP BY cell for cell.
+// chunk order. Null handling and min/max update rules mirror the aggregate
+// core's (expr/aggregate.h) exactly — null cells are skipped, min/max
+// initialize on the first valid value and a NaN never replaces an existing
+// extremum — so a tile answer reproduces the base GROUP BY cell for cell.
 
 /// Map rows of a numeric register onto bin indices over `span`:
 ///   k = (int64)floor((v - start) / step)

@@ -2,44 +2,24 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
-// Vectorization pragmas. The SIMD bodies are written branchless (bytewise
-// 0/1 masks, no early exits) so the pragma reliably vectorizes them; the
-// scalar fallback bodies carry an explicit do-not-vectorize marker so the
-// kill switch yields a genuine scalar baseline, not the same SIMD code by
-// another name.
+// Vectorization pragma. The bodies are written branchless (bytewise 0/1
+// masks, no early exits) so the pragma reliably vectorizes them.
 #if defined(__clang__)
 #define VP_SIMD_LOOP _Pragma("clang loop vectorize(enable) interleave(enable)")
-#define VP_SCALAR_LOOP _Pragma("clang loop vectorize(disable) interleave(disable)")
-#define VP_SCALAR_FN
 #elif defined(__GNUC__)
 #define VP_SIMD_LOOP _Pragma("GCC ivdep")
-#define VP_SCALAR_LOOP
-#define VP_SCALAR_FN __attribute__((optimize("no-tree-vectorize")))
 #else
 #define VP_SIMD_LOOP
-#define VP_SCALAR_LOOP
-#define VP_SCALAR_FN
 #endif
 
 namespace vegaplus {
 namespace kernels {
 namespace {
 
-bool InitSimdFromEnv() {
-  const char* env = std::getenv("VEGAPLUS_SIMD_KERNELS");
-  if (env == nullptr) return true;
-  return !(std::strcmp(env, "0") == 0 || std::strcmp(env, "false") == 0 ||
-           std::strcmp(env, "off") == 0);
-}
-
-std::atomic<bool> g_simd_enabled{InitSimdFromEnv()};
-
 std::atomic<uint64_t> g_bitmap_selections{0};
 std::atomic<uint64_t> g_index_selections{0};
-std::atomic<uint64_t> g_scalar_fallbacks{0};
 
 /// One comparison as a 0/1 byte, with the engine's NaN rules: kEq must be
 /// written !(v < c) && !(v > c) (a NaN cell passes ==) and kNeq as its
@@ -73,8 +53,7 @@ inline uint8_t MaskBit(uint8_t ok, const uint8_t* valid, size_t i) {
 }
 
 template <typename T, Cmp C, bool HasValid>
-void CompareLoopSimd(const T* vals, const uint8_t* valid, size_t n, double c,
-                     uint8_t* out) {
+void CompareLoop(const T* vals, const uint8_t* valid, size_t n, double c, uint8_t* out) {
   VP_SIMD_LOOP
   for (size_t i = 0; i < n; ++i) {
     const uint8_t ok = CmpBit<C>(static_cast<double>(vals[i]), c);
@@ -82,64 +61,42 @@ void CompareLoopSimd(const T* vals, const uint8_t* valid, size_t n, double c,
   }
 }
 
-template <typename T, Cmp C, bool HasValid>
-VP_SCALAR_FN void CompareLoopScalar(const T* vals, const uint8_t* valid,
-                                    size_t n, double c, uint8_t* out) {
-  VP_SCALAR_LOOP
-  for (size_t i = 0; i < n; ++i) {
-    const uint8_t ok = CmpBit<C>(static_cast<double>(vals[i]), c);
-    out[i] = MaskBit<C, HasValid>(ok, valid, i);
-  }
-}
-
 template <typename T, Cmp C>
-void CompareDispatch(const T* vals, const uint8_t* valid, size_t n, double c,
-                     uint8_t* out, bool simd) {
-  if (simd) {
-    if (valid != nullptr) {
-      CompareLoopSimd<T, C, true>(vals, valid, n, c, out);
-    } else {
-      CompareLoopSimd<T, C, false>(vals, valid, n, c, out);
-    }
+void CompareDispatch(const T* vals, const uint8_t* valid, size_t n, double c, uint8_t* out) {
+  if (valid != nullptr) {
+    CompareLoop<T, C, true>(vals, valid, n, c, out);
   } else {
-    if (valid != nullptr) {
-      CompareLoopScalar<T, C, true>(vals, valid, n, c, out);
-    } else {
-      CompareLoopScalar<T, C, false>(vals, valid, n, c, out);
-    }
+    CompareLoop<T, C, false>(vals, valid, n, c, out);
   }
 }
 
 template <typename T>
 void CompareToBitsImpl(const T* vals, const uint8_t* valid, size_t n, Cmp cmp,
                        double c, uint8_t* out) {
-  const bool simd = SimdEnabled();
-  if (!simd) AddScalarFallbacks(1);
   switch (cmp) {
     case Cmp::kLt:
-      CompareDispatch<T, Cmp::kLt>(vals, valid, n, c, out, simd);
+      CompareDispatch<T, Cmp::kLt>(vals, valid, n, c, out);
       break;
     case Cmp::kLte:
-      CompareDispatch<T, Cmp::kLte>(vals, valid, n, c, out, simd);
+      CompareDispatch<T, Cmp::kLte>(vals, valid, n, c, out);
       break;
     case Cmp::kGt:
-      CompareDispatch<T, Cmp::kGt>(vals, valid, n, c, out, simd);
+      CompareDispatch<T, Cmp::kGt>(vals, valid, n, c, out);
       break;
     case Cmp::kGte:
-      CompareDispatch<T, Cmp::kGte>(vals, valid, n, c, out, simd);
+      CompareDispatch<T, Cmp::kGte>(vals, valid, n, c, out);
       break;
     case Cmp::kEq:
-      CompareDispatch<T, Cmp::kEq>(vals, valid, n, c, out, simd);
+      CompareDispatch<T, Cmp::kEq>(vals, valid, n, c, out);
       break;
     case Cmp::kNeq:
-      CompareDispatch<T, Cmp::kNeq>(vals, valid, n, c, out, simd);
+      CompareDispatch<T, Cmp::kNeq>(vals, valid, n, c, out);
       break;
   }
 }
 
 template <typename T, Cmp C, bool HasValid>
-size_t RefineLoopBranchless(const T* vals, const uint8_t* valid, double c,
-                            int32_t* s, size_t m) {
+size_t RefineLoop(const T* vals, const uint8_t* valid, double c, int32_t* s, size_t m) {
   size_t w = 0;
   for (size_t j = 0; j < m; ++j) {
     const int32_t r = s[j];
@@ -151,29 +108,10 @@ size_t RefineLoopBranchless(const T* vals, const uint8_t* valid, double c,
   return w;
 }
 
-template <typename T, Cmp C, bool HasValid>
-VP_SCALAR_FN size_t RefineLoopBranchy(const T* vals, const uint8_t* valid,
-                                      double c, int32_t* s, size_t m) {
-  size_t w = 0;
-  for (size_t j = 0; j < m; ++j) {
-    const int32_t r = s[j];
-    const uint8_t ok = MaskBit<C, HasValid>(
-        CmpBit<C>(static_cast<double>(vals[r]), c), valid, r);
-    if (ok) s[w++] = r;
-  }
-  return w;
-}
-
 template <typename T, Cmp C>
-size_t RefineDispatch(const T* vals, const uint8_t* valid, double c,
-                      int32_t* s, size_t m, bool simd) {
-  if (simd) {
-    return valid != nullptr
-               ? RefineLoopBranchless<T, C, true>(vals, valid, c, s, m)
-               : RefineLoopBranchless<T, C, false>(vals, valid, c, s, m);
-  }
-  return valid != nullptr ? RefineLoopBranchy<T, C, true>(vals, valid, c, s, m)
-                          : RefineLoopBranchy<T, C, false>(vals, valid, c, s, m);
+size_t RefineDispatch(const T* vals, const uint8_t* valid, double c, int32_t* s, size_t m) {
+  return valid != nullptr ? RefineLoop<T, C, true>(vals, valid, c, s, m)
+                          : RefineLoop<T, C, false>(vals, valid, c, s, m);
 }
 
 template <typename T>
@@ -182,39 +120,31 @@ void RefineIndicesImpl(const T* vals, const uint8_t* valid, Cmp cmp, double c,
   const size_t m = sel->size() - from;
   if (m == 0) return;
   int32_t* s = sel->data() + from;
-  const bool simd = SimdEnabled();
-  if (!simd) AddScalarFallbacks(1);
   size_t w = 0;
   switch (cmp) {
     case Cmp::kLt:
-      w = RefineDispatch<T, Cmp::kLt>(vals, valid, c, s, m, simd);
+      w = RefineDispatch<T, Cmp::kLt>(vals, valid, c, s, m);
       break;
     case Cmp::kLte:
-      w = RefineDispatch<T, Cmp::kLte>(vals, valid, c, s, m, simd);
+      w = RefineDispatch<T, Cmp::kLte>(vals, valid, c, s, m);
       break;
     case Cmp::kGt:
-      w = RefineDispatch<T, Cmp::kGt>(vals, valid, c, s, m, simd);
+      w = RefineDispatch<T, Cmp::kGt>(vals, valid, c, s, m);
       break;
     case Cmp::kGte:
-      w = RefineDispatch<T, Cmp::kGte>(vals, valid, c, s, m, simd);
+      w = RefineDispatch<T, Cmp::kGte>(vals, valid, c, s, m);
       break;
     case Cmp::kEq:
-      w = RefineDispatch<T, Cmp::kEq>(vals, valid, c, s, m, simd);
+      w = RefineDispatch<T, Cmp::kEq>(vals, valid, c, s, m);
       break;
     case Cmp::kNeq:
-      w = RefineDispatch<T, Cmp::kNeq>(vals, valid, c, s, m, simd);
+      w = RefineDispatch<T, Cmp::kNeq>(vals, valid, c, s, m);
       break;
   }
   sel->resize(from + w);
 }
 
 }  // namespace
-
-bool SimdEnabled() { return g_simd_enabled.load(std::memory_order_relaxed); }
-
-void SetSimdEnabled(bool enabled) {
-  g_simd_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 void AddBitmapSelections(uint64_t n) {
   g_bitmap_selections.fetch_add(n, std::memory_order_relaxed);
@@ -228,12 +158,7 @@ void AddIndexSelections(uint64_t n) {
 uint64_t IndexSelections() {
   return g_index_selections.load(std::memory_order_relaxed);
 }
-void AddScalarFallbacks(uint64_t n) {
-  g_scalar_fallbacks.fetch_add(n, std::memory_order_relaxed);
-}
-uint64_t ScalarFallbacks() {
-  return g_scalar_fallbacks.load(std::memory_order_relaxed);
-}
+uint64_t ScalarFallbacks() { return 0; }
 
 void CompareNumToBits(const double* vals, const uint8_t* valid, size_t n,
                       Cmp cmp, double c, uint8_t* out) {
@@ -247,23 +172,12 @@ void CompareInt64ToBits(const int64_t* vals, const uint8_t* valid, size_t n,
 
 void CompareCodeToBits(const int32_t* codes, size_t n, bool negate,
                        int32_t code, uint8_t* out) {
-  if (SimdEnabled()) {
-    if (negate) {
-      VP_SIMD_LOOP
-      for (size_t i = 0; i < n; ++i)
-        out[i] = static_cast<uint8_t>(codes[i] != code);
-    } else {
-      VP_SIMD_LOOP
-      for (size_t i = 0; i < n; ++i)
-        out[i] = static_cast<uint8_t>(codes[i] == code);
-    }
-    return;
-  }
-  AddScalarFallbacks(1);
-  VP_SCALAR_LOOP
-  for (size_t i = 0; i < n; ++i) {
-    const bool eq = codes[i] == code;
-    out[i] = static_cast<uint8_t>(eq != negate);
+  if (negate) {
+    VP_SIMD_LOOP
+    for (size_t i = 0; i < n; ++i) out[i] = static_cast<uint8_t>(codes[i] != code);
+  } else {
+    VP_SIMD_LOOP
+    for (size_t i = 0; i < n; ++i) out[i] = static_cast<uint8_t>(codes[i] == code);
   }
 }
 
@@ -277,51 +191,23 @@ void CompareStrToBits(const std::string* strs, const uint8_t* valid, size_t n,
 }
 
 void AndBits(uint8_t* dst, const uint8_t* src, size_t n) {
-  if (SimdEnabled()) {
-    VP_SIMD_LOOP
-    for (size_t i = 0; i < n; ++i)
-      dst[i] = static_cast<uint8_t>((dst[i] != 0) & (src[i] != 0));
-    return;
-  }
-  AddScalarFallbacks(1);
-  VP_SCALAR_LOOP
-  for (size_t i = 0; i < n; ++i)
-    dst[i] = static_cast<uint8_t>(dst[i] != 0 && src[i] != 0);
+  VP_SIMD_LOOP
+  for (size_t i = 0; i < n; ++i) dst[i] = static_cast<uint8_t>((dst[i] != 0) & (src[i] != 0));
 }
 
 void OrBits(uint8_t* dst, const uint8_t* src, size_t n) {
-  if (SimdEnabled()) {
-    VP_SIMD_LOOP
-    for (size_t i = 0; i < n; ++i)
-      dst[i] = static_cast<uint8_t>((dst[i] != 0) | (src[i] != 0));
-    return;
-  }
-  AddScalarFallbacks(1);
-  VP_SCALAR_LOOP
-  for (size_t i = 0; i < n; ++i)
-    dst[i] = static_cast<uint8_t>(dst[i] != 0 || src[i] != 0);
+  VP_SIMD_LOOP
+  for (size_t i = 0; i < n; ++i) dst[i] = static_cast<uint8_t>((dst[i] != 0) | (src[i] != 0));
 }
 
 void NotBits(uint8_t* dst, size_t n) {
-  if (SimdEnabled()) {
-    VP_SIMD_LOOP
-    for (size_t i = 0; i < n; ++i) dst[i] = static_cast<uint8_t>(dst[i] == 0);
-    return;
-  }
-  AddScalarFallbacks(1);
-  VP_SCALAR_LOOP
+  VP_SIMD_LOOP
   for (size_t i = 0; i < n; ++i) dst[i] = static_cast<uint8_t>(dst[i] == 0);
 }
 
 size_t CountBits(const uint8_t* bits, size_t n) {
   size_t count = 0;
-  if (SimdEnabled()) {
-    VP_SIMD_LOOP
-    for (size_t i = 0; i < n; ++i) count += (bits[i] != 0);
-    return count;
-  }
-  AddScalarFallbacks(1);
-  VP_SCALAR_LOOP
+  VP_SIMD_LOOP
   for (size_t i = 0; i < n; ++i) count += (bits[i] != 0);
   return count;
 }
@@ -331,20 +217,13 @@ size_t BitsToIndices(const uint8_t* bits, size_t n, int32_t base,
   const size_t start = out->size();
   out->resize(start + n);
   int32_t* tmp = out->data() + start;
+  // Branchless compaction: always store, advance by the bit. At 50%
+  // selectivity this is the difference between ~1 mispredict per row and
+  // none.
   size_t k = 0;
-  if (SimdEnabled()) {
-    // Branchless compaction: always store, advance by the bit. At 50%
-    // selectivity this is the difference between ~1 mispredict per row and
-    // none.
-    for (size_t i = 0; i < n; ++i) {
-      tmp[k] = static_cast<int32_t>(i) + base;
-      k += (bits[i] != 0);
-    }
-  } else {
-    AddScalarFallbacks(1);
-    for (size_t i = 0; i < n; ++i) {
-      if (bits[i] != 0) tmp[k++] = static_cast<int32_t>(i) + base;
-    }
+  for (size_t i = 0; i < n; ++i) {
+    tmp[k] = static_cast<int32_t>(i) + base;
+    k += (bits[i] != 0);
   }
   out->resize(start + k);
   return k;
@@ -379,20 +258,11 @@ void RefineCodeIndices(const int32_t* codes, bool negate, int32_t code,
   if (m == 0) return;
   int32_t* s = sel->data() + from;
   size_t w = 0;
-  if (SimdEnabled()) {
-    for (size_t j = 0; j < m; ++j) {
-      const int32_t r = s[j];
-      const bool eq = codes[r] == code;
-      s[w] = r;
-      w += (eq != negate);
-    }
-  } else {
-    AddScalarFallbacks(1);
-    for (size_t j = 0; j < m; ++j) {
-      const int32_t r = s[j];
-      const bool eq = codes[r] == code;
-      if (eq != negate) s[w++] = r;
-    }
+  for (size_t j = 0; j < m; ++j) {
+    const int32_t r = s[j];
+    const bool eq = codes[r] == code;
+    s[w] = r;
+    w += (eq != negate);
   }
   sel->resize(from + w);
 }
@@ -414,54 +284,26 @@ void RefineStrIndices(const std::string* strs, const uint8_t* valid,
 
 void GatherDoubles(const double* src, const int32_t* rows, size_t n,
                    double* out) {
-  if (SimdEnabled()) {
-    VP_SIMD_LOOP
-    for (size_t j = 0; j < n; ++j) out[j] = src[rows[j]];
-    return;
-  }
-  AddScalarFallbacks(1);
-  VP_SCALAR_LOOP
+  VP_SIMD_LOOP
   for (size_t j = 0; j < n; ++j) out[j] = src[rows[j]];
 }
 
 void GatherInt64(const int64_t* src, const int32_t* rows, size_t n,
                  int64_t* out) {
-  if (SimdEnabled()) {
-    VP_SIMD_LOOP
-    for (size_t j = 0; j < n; ++j) out[j] = src[rows[j]];
-    return;
-  }
-  AddScalarFallbacks(1);
-  VP_SCALAR_LOOP
+  VP_SIMD_LOOP
   for (size_t j = 0; j < n; ++j) out[j] = src[rows[j]];
 }
 
 void GatherCodes(const int32_t* src, const int32_t* rows, size_t n,
                  int32_t* out) {
-  if (SimdEnabled()) {
-    VP_SIMD_LOOP
-    for (size_t j = 0; j < n; ++j) out[j] = src[rows[j]];
-    return;
-  }
-  AddScalarFallbacks(1);
-  VP_SCALAR_LOOP
+  VP_SIMD_LOOP
   for (size_t j = 0; j < n; ++j) out[j] = src[rows[j]];
 }
 
 size_t GatherValidity(const uint8_t* src, const int32_t* rows, size_t n,
                       uint8_t* out) {
   size_t nulls = 0;
-  if (SimdEnabled()) {
-    VP_SIMD_LOOP
-    for (size_t j = 0; j < n; ++j) {
-      const uint8_t v = src[rows[j]];
-      out[j] = v;
-      nulls += (v == 0);
-    }
-    return nulls;
-  }
-  AddScalarFallbacks(1);
-  VP_SCALAR_LOOP
+  VP_SIMD_LOOP
   for (size_t j = 0; j < n; ++j) {
     const uint8_t v = src[rows[j]];
     out[j] = v;
@@ -471,10 +313,10 @@ size_t GatherValidity(const uint8_t* src, const int32_t* rows, size_t n,
 }
 
 // The grouped and binned accumulators are scatter-bound (random writes per
-// group/bin slot), so they have one body: the win is the single shared,
-// null-hoisted implementation, not vector lanes. Position order is strictly
-// ascending — float sums never reassociate, so results are bit-identical to
-// the loops they replaced at any morsel thread count.
+// group/bin slot), so their win is the single shared, null-hoisted
+// implementation, not vector lanes. Position order is strictly ascending —
+// float sums never reassociate, so results are bit-identical at any morsel
+// thread count.
 
 void GroupedCount(const NumSpan& v, const int32_t* rows,
                   const uint32_t* group_of, size_t begin, size_t end,

@@ -10,14 +10,12 @@
 // filter all route their inner loops through one implementation instead of
 // keeping near-copies.
 //
-// Dispatch contract: every kernel has a pragma-vectorized body and a scalar
-// fallback selected by the SimdEnabled() kill switch (EngineConfig::
-// simd_kernels; initial value from the VEGAPLUS_SIMD_KERNELS env var so CI
-// can force the fallback). Both bodies compute the same exact per-element
-// operation in the same order, so results are bit-identical either way:
-// compares, bitmap logic, conversions, and gathers are order-insensitive
-// exact ops, and float accumulation always runs in ascending index order
-// (no SIMD reassociation of sums).
+// One body per kernel: branchless, pragma-vectorized loops with no runtime
+// switch. Compares, bitmap logic, conversions, and gathers are exact
+// per-element ops, and float accumulation always runs in ascending index
+// order (no SIMD reassociation of sums), so results never depend on how a
+// loop vectorizes. The kernels' oracle is the scalar expression interpreter
+// (expr::Evaluate), which expr_vector_diff_test compares them against.
 //
 // Comparison semantics mirror the expression engine exactly (which mirrors
 // Value::Compare): a null cell fails every compare except !=, kEq is
@@ -34,28 +32,19 @@
 namespace vegaplus {
 namespace kernels {
 
-/// Kill switch (default on; initialized once from VEGAPLUS_SIMD_KERNELS,
-/// "0" = off). When off every kernel runs its scalar fallback body — the
-/// differential baseline for proving the SIMD paths bit-identical.
-///
-/// Free functions own the storage, like the other per-layer switches;
-/// runtime::EngineConfig (simd_kernels) snapshots and applies it coherently.
-bool SimdEnabled();
-void SetSimdEnabled(bool enabled);
-
 // ---- Dispatch observability (style of storage/stats.h) ----
 //
 // Process-global monotone counters, rebased by Middleware::stats() against a
 // construction-time baseline. Selection counters record the density
 // heuristic's choice per filter evaluation (one bump per batch/morsel, not
-// per row); the fallback counter records kernel invocations that ran a
-// scalar body because the kill switch is off.
+// per row).
 
 void AddBitmapSelections(uint64_t n);
 uint64_t BitmapSelections();
 void AddIndexSelections(uint64_t n);
 uint64_t IndexSelections();
-void AddScalarFallbacks(uint64_t n);
+/// Always 0: no kernel has a scalar fallback body. Kept for the end-to-end
+/// benchmark's `expr.kernel_scalar_fallbacks` metric.
 uint64_t ScalarFallbacks();
 
 /// Comparison operator of the compare kernels (column on the left).
@@ -186,7 +175,7 @@ void GroupedSumSq(const NumSpan& v, const int32_t* rows,
                   double* sums, double* sumsqs, uint64_t* counts);
 /// Strict-compare min/max: the first valid value initializes, ties keep the
 /// earlier value, and a NaN never replaces an existing extremum (but a NaN
-/// that arrives first sticks) — exactly the executor's AggState updates.
+/// that arrives first sticks) — exactly the aggregate core's updates.
 /// seen[g] != 0 iff any valid value reached group g.
 void GroupedMinMax(const NumSpan& v, const int32_t* rows,
                    const uint32_t* group_of, size_t begin, size_t end,

@@ -49,20 +49,6 @@ SelectItem ExprItem(NodePtr e, std::string alias) {
   return item;
 }
 
-sql::AggOp ToSqlAgg(transforms::VegaAggOp op) {
-  switch (op) {
-    case transforms::VegaAggOp::kCount: return sql::AggOp::kCount;
-    case transforms::VegaAggOp::kValid: return sql::AggOp::kCount;
-    case transforms::VegaAggOp::kSum: return sql::AggOp::kSum;
-    case transforms::VegaAggOp::kMean: return sql::AggOp::kAvg;
-    case transforms::VegaAggOp::kMin: return sql::AggOp::kMin;
-    case transforms::VegaAggOp::kMax: return sql::AggOp::kMax;
-    case transforms::VegaAggOp::kMedian: return sql::AggOp::kMedian;
-    case transforms::VegaAggOp::kStdev: return sql::AggOp::kStddev;
-  }
-  return sql::AggOp::kCount;
-}
-
 // Derived bin params: start/step computed from the extent signal (+ maxbins
 // signal) at query-build time — "the bin's step size is calculated to
 // complete the query string" (Example 4.1).
@@ -212,20 +198,13 @@ Status ExtendPipeline(ServerPipeline* pipeline, const spec::TransformSpec& ts,
       outer->items.push_back(ExprItem(node, g.is_signal() ? "" : g.field));
     }
     for (size_t i = 0; i < p.ops.size(); ++i) {
+      // Same core op and argument as the client's AggregateOp; the spec
+      // parser rejects ops other than count without a field.
+      const transforms::CoreAgg core = transforms::CoreAggOf(p.ops[i]);
       SelectItem item;
       item.kind = SelectItem::Kind::kAggregate;
-      item.agg_op = ToSqlAgg(p.ops[i]);
-      bool has_field = i < p.fields.size() &&
-                       (!p.fields[i].field.empty() || p.fields[i].is_signal());
-      // Vega "count" ignores its field; "valid" counts non-null of a field.
-      if (p.ops[i] == transforms::VegaAggOp::kCount) {
-        item.agg_arg = nullptr;
-      } else if (has_field) {
-        item.agg_arg = FieldNode(p.fields[i]);
-      } else {
-        item.agg_arg = nullptr;
-        item.agg_op = sql::AggOp::kCount;
-      }
+      item.agg_op = core.op;
+      if (core.reads_field) item.agg_arg = FieldNode(p.fields[i]);
       item.alias = p.as[i];
       outer->items.push_back(std::move(item));
     }

@@ -4,7 +4,6 @@
 #include "common/parallel.h"
 #include "data/column.h"
 #include "expr/batch_eval.h"
-#include "expr/kernels/kernels.h"
 #include "storage/stats.h"
 #include "tiles/tile_store.h"
 
@@ -14,9 +13,7 @@ namespace runtime {
 EngineConfig EngineConfig::Current() {
   EngineConfig cfg;
   cfg.vectorized = expr::VectorizedEnabled();
-  cfg.simd_kernels = kernels::SimdEnabled();
   cfg.dictionary_encoding = data::DictionaryEncodingEnabled();
-  cfg.morsel_parallel = parallel::MorselParallelEnabled();
   cfg.morsel_threads = parallel::MorselParallelism();
   cfg.morsel_rows = parallel::MorselRows();
   cfg.tile_serving = tiles::TileServingEnabled();
@@ -28,9 +25,7 @@ EngineConfig EngineConfig::Current() {
 
 void EngineConfig::Apply() const {
   expr::SetVectorizedEnabled(vectorized);
-  kernels::SetSimdEnabled(simd_kernels);
   data::SetDictionaryEncodingEnabled(dictionary_encoding);
-  parallel::SetMorselParallelEnabled(morsel_parallel);
   parallel::SetMorselParallelism(morsel_threads);
   parallel::SetMorselRows(morsel_rows);
   tiles::SetTileServingEnabled(tile_serving);

@@ -1,9 +1,9 @@
 // One struct for every process-wide execution switch. Historically each layer
 // grew its own free-function toggle (expr::SetVectorizedEnabled,
-// data::SetDictionaryEncodingEnabled, parallel::SetMorselParallelEnabled and
-// the morsel knobs, tiles::SetTileServingEnabled); callers that wanted a
-// coherent configuration had to call five setters in the right order and had
-// no way to read the state back atomically. EngineConfig is the consolidated
+// data::SetDictionaryEncodingEnabled, the parallel:: morsel knobs,
+// tiles::SetTileServingEnabled); callers that wanted a coherent
+// configuration had to call five setters in the right order and had no way
+// to read the state back atomically. EngineConfig is the consolidated
 // front door:
 //
 //   * EngineConfig::Current() snapshots every switch.
@@ -31,12 +31,8 @@ struct EngineConfig {
   bool vectorized = true;
   /// Dictionary encoding for string columns loaded from CSV/JSON.
   bool dictionary_encoding = true;
-  /// Explicit-SIMD inner-loop kernels (expr/kernels). Disabling forces the
-  /// scalar fallback bodies; results must stay bit-identical either way.
-  bool simd_kernels = true;
-  /// Morsel-driven parallelism across the shared worker pool.
-  bool morsel_parallel = true;
-  /// Worker count for morsel execution. 0 = hardware concurrency.
+  /// Worker count for morsel execution across the shared worker pool.
+  /// 0 = hardware concurrency; 1 = the sequential path.
   size_t morsel_threads = 0;
   /// Rows per morsel for table-shaped work.
   size_t morsel_rows = 16384;

@@ -331,7 +331,6 @@ Middleware::Middleware(const sql::Engine* engine, MiddlewareOptions options)
   storage_chunks_paged_in_baseline_ = storage::ChunksPagedIn();
   kernel_bitmap_selections_baseline_ = kernels::BitmapSelections();
   kernel_index_selections_baseline_ = kernels::IndexSelections();
-  kernel_scalar_fallbacks_baseline_ = kernels::ScalarFallbacks();
   default_session_ = CreateSession();
 }
 
@@ -1089,8 +1088,6 @@ Middleware::Stats Middleware::stats() const {
       kernels::BitmapSelections() - kernel_bitmap_selections_baseline_;
   out.kernel_index_selections =
       kernels::IndexSelections() - kernel_index_selections_baseline_;
-  out.kernel_scalar_fallbacks =
-      kernels::ScalarFallbacks() - kernel_scalar_fallbacks_baseline_;
   return out;
 }
 
@@ -1110,7 +1107,6 @@ void Middleware::ResetStats() {
   storage_chunks_paged_in_baseline_ = storage::ChunksPagedIn();
   kernel_bitmap_selections_baseline_ = kernels::BitmapSelections();
   kernel_index_selections_baseline_ = kernels::IndexSelections();
-  kernel_scalar_fallbacks_baseline_ = kernels::ScalarFallbacks();
 }
 
 void Middleware::ClearCaches() {

@@ -337,7 +337,6 @@ class Middleware : public rewrite::QueryService {
     // SIMD kernel dispatch since construction / ResetStats().
     size_t kernel_bitmap_selections = 0; ///< filters resolved in bitmap domain
     size_t kernel_index_selections = 0;  ///< filters refined on index lists
-    size_t kernel_scalar_fallbacks = 0;  ///< kernel calls on the scalar bodies
   };
   Stats stats() const;
   void ResetStats();
@@ -495,7 +494,6 @@ class Middleware : public rewrite::QueryService {
   /// Likewise for the process-wide SIMD kernel dispatch counters.
   size_t kernel_bitmap_selections_baseline_ = 0;
   size_t kernel_index_selections_baseline_ = 0;
-  size_t kernel_scalar_fallbacks_baseline_ = 0;
   uint64_t next_session_id_ = 1;
 
   /// Per-statement latency observations driving the hedge threshold.

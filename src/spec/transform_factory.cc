@@ -141,6 +141,15 @@ Result<std::unique_ptr<dataflow::Operator>> BuildTransformOp(const TransformSpec
     if (params.fields.size() < params.ops.size()) {
       params.fields.resize(params.ops.size());
     }
+    for (size_t i = 0; i < params.ops.size(); ++i) {
+      const FieldRef& f = params.fields[i];
+      if (params.ops[i] != transforms::VegaAggOp::kCount && f.field.empty() &&
+          !f.is_signal()) {
+        // Vega rejects this spec too ("Null aggregate field specified.").
+        return Status::ParseError(std::string("aggregate: null field for op '") +
+                                  transforms::VegaAggOpName(params.ops[i]) + "'");
+      }
+    }
     params.as = ParseStringList(p, "as");
     return std::unique_ptr<dataflow::Operator>(
         new transforms::AggregateOp(std::move(params)));

@@ -1,14 +1,13 @@
 #include "sql/executor.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "common/parallel.h"
 #include "common/str_util.h"
+#include "expr/aggregate.h"
 #include "expr/batch_eval.h"
 #include "expr/evaluator.h"
-#include "expr/kernels/kernels.h"
 #include "storage/reader.h"
 #include "storage/stats.h"
 
@@ -29,7 +28,6 @@ using expr::EvalContext;
 using expr::EvalValue;
 using expr::NodeKind;
 using expr::NodePtr;
-using expr::RegKind;
 using expr::Vec;
 
 Value EvalScalar(const NodePtr& node, const Table& table, size_t row) {
@@ -145,232 +143,6 @@ void FilterRows(const NodePtr& pred, const Table& table, std::vector<int32_t>* k
     if (expr::Evaluate(pred, ctx).Truthy()) {
       keep->push_back(static_cast<int32_t>(r));
     }
-  }
-}
-
-// ---- Aggregate accumulators ----
-
-struct AggState {
-  size_t count = 0;          // non-null (or all rows for COUNT(*))
-  double sum = 0;
-  double sum_sq = 0;
-  Value min = Value::Null();
-  Value max = Value::Null();
-  std::vector<double> values;  // median only
-
-  void Update(AggOp op, const Value& v, bool count_star) {
-    if (op == AggOp::kCount) {
-      if (count_star || !v.is_null()) ++count;
-      return;
-    }
-    if (v.is_null()) return;
-    ++count;
-    switch (op) {
-      case AggOp::kSum:
-      case AggOp::kAvg: {
-        sum += v.AsDouble();
-        break;
-      }
-      case AggOp::kStddev:
-      case AggOp::kVariance: {
-        double d = v.AsDouble();
-        sum += d;
-        sum_sq += d * d;
-        break;
-      }
-      case AggOp::kMedian:
-        values.push_back(v.AsDouble());
-        break;
-      case AggOp::kMin:
-        if (min.is_null() || v.Compare(min) < 0) min = v;
-        break;
-      case AggOp::kMax:
-        if (max.is_null() || v.Compare(max) > 0) max = v;
-        break;
-      case AggOp::kCount:
-        break;
-    }
-  }
-
-  /// Fold `other` (a later chunk of the same group's rows) into this state.
-  /// Chunks are merged in position order, so `values` concatenation keeps
-  /// selection order and min/max keep the first occurrence on ties (the
-  /// strict Compare mirrors the per-row update loops, including their
-  /// NaN-never-replaces behavior, since Value::Compare treats NaN as equal
-  /// to everything). Sums merge by adding per-chunk partials; chunk
-  /// boundaries are fixed by AggChunkSize, never by the thread count, so
-  /// the float rounding is identical at any parallelism.
-  void Merge(AggOp op, AggState&& other) {
-    count += other.count;
-    switch (op) {
-      case AggOp::kCount:
-        break;
-      case AggOp::kSum:
-      case AggOp::kAvg:
-        sum += other.sum;
-        break;
-      case AggOp::kStddev:
-      case AggOp::kVariance:
-        sum += other.sum;
-        sum_sq += other.sum_sq;
-        break;
-      case AggOp::kMedian:
-        values.insert(values.end(), other.values.begin(), other.values.end());
-        break;
-      case AggOp::kMin:
-        if (!other.min.is_null() && (min.is_null() || other.min.Compare(min) < 0)) {
-          min = std::move(other.min);
-        }
-        break;
-      case AggOp::kMax:
-        if (!other.max.is_null() && (max.is_null() || other.max.Compare(max) > 0)) {
-          max = std::move(other.max);
-        }
-        break;
-    }
-  }
-
-  Value Finish(AggOp op) {
-    switch (op) {
-      case AggOp::kCount:
-        return Value::Int(static_cast<int64_t>(count));
-      case AggOp::kSum:
-        return count == 0 ? Value::Null() : Value::Double(sum);
-      case AggOp::kAvg:
-        return count == 0 ? Value::Null() : Value::Double(sum / static_cast<double>(count));
-      case AggOp::kMin:
-        return min;
-      case AggOp::kMax:
-        return max;
-      case AggOp::kMedian: {
-        if (values.empty()) return Value::Null();
-        std::sort(values.begin(), values.end());
-        size_t n = values.size();
-        double med = (n % 2 == 1) ? values[n / 2]
-                                  : 0.5 * (values[n / 2 - 1] + values[n / 2]);
-        return Value::Double(med);
-      }
-      case AggOp::kStddev:
-      case AggOp::kVariance: {
-        if (count < 2) return Value::Null();
-        double n = static_cast<double>(count);
-        double var = (sum_sq - sum * sum / n) / (n - 1);  // sample variance
-        if (var < 0) var = 0;
-        return Value::Double(op == AggOp::kVariance ? var : std::sqrt(var));
-      }
-    }
-    return Value::Null();
-  }
-};
-
-/// Accumulate one aggregate over the selected positions in `span` with a
-/// single typed branch per chunk: the inner loops touch raw doubles, never a
-/// per-row Value. `arg` is the argument register over the full input table;
-/// `rows` are the selected table row ids; `group_of[pos]` is the group of
-/// `rows[pos]`; `states` holds one state per group. Callers run one
-/// invocation per chunk (possibly in parallel, each with its own `states`)
-/// and merge the chunk states in position order.
-void AccumulateAgg(AggOp op, const Vec& arg, const std::vector<int32_t>& rows,
-                   const std::vector<uint32_t>& group_of, parallel::Range span,
-                   std::vector<AggState>* states) {
-  const size_t npos = span.end;
-  auto state = [&](size_t pos) -> AggState& { return (*states)[group_of[pos]]; };
-
-  if (arg.kind == RegKind::kNum || arg.kind == RegKind::kBool) {
-    // Typed fast path: the inner loops live in the kernel library, which
-    // accumulates into dense SoA scratch (one slot per group) in strict
-    // position order; the scratch then folds into the chunk's AggStates.
-    // Each invocation starts from fresh states (one call per chunk per
-    // aggregate), so the fold reproduces the former per-row updates
-    // bit-for-bit — including min/max NaN stickiness, which would not
-    // survive folding into already-populated extrema.
-    const kernels::NumSpan v = expr::NumSpanOf(arg);
-    const size_t num_groups = states->size();
-    switch (op) {
-      case AggOp::kCount: {
-        std::vector<uint64_t> counts(num_groups, 0);
-        kernels::GroupedCount(v, rows.data(), group_of.data(), span.begin,
-                              span.end, counts.data());
-        for (size_t g = 0; g < num_groups; ++g) {
-          (*states)[g].count += static_cast<size_t>(counts[g]);
-        }
-        return;
-      }
-      case AggOp::kSum:
-      case AggOp::kAvg: {
-        std::vector<double> sums(num_groups, 0.0);
-        std::vector<uint64_t> counts(num_groups, 0);
-        kernels::GroupedSum(v, rows.data(), group_of.data(), span.begin,
-                            span.end, sums.data(), counts.data());
-        for (size_t g = 0; g < num_groups; ++g) {
-          AggState& st = (*states)[g];
-          st.sum += sums[g];
-          st.count += static_cast<size_t>(counts[g]);
-        }
-        return;
-      }
-      case AggOp::kStddev:
-      case AggOp::kVariance: {
-        std::vector<double> sums(num_groups, 0.0);
-        std::vector<double> sumsqs(num_groups, 0.0);
-        std::vector<uint64_t> counts(num_groups, 0);
-        kernels::GroupedSumSq(v, rows.data(), group_of.data(), span.begin,
-                              span.end, sums.data(), sumsqs.data(),
-                              counts.data());
-        for (size_t g = 0; g < num_groups; ++g) {
-          AggState& st = (*states)[g];
-          st.sum += sums[g];
-          st.sum_sq += sumsqs[g];
-          st.count += static_cast<size_t>(counts[g]);
-        }
-        return;
-      }
-      case AggOp::kMedian:
-        // Per-group value collection stays here: the kernel scratch is
-        // fixed-width, medians are not.
-        for (size_t pos = span.begin; pos < npos; ++pos) {
-          const size_t r = static_cast<size_t>(rows[pos]);
-          if (!arg.ValidAt(r)) continue;
-          AggState& st = state(pos);
-          st.values.push_back(v.ValueAt(r));
-          ++st.count;
-        }
-        return;
-      case AggOp::kMin:
-      case AggOp::kMax: {
-        std::vector<double> mins(num_groups, 0.0);
-        std::vector<double> maxs(num_groups, 0.0);
-        std::vector<uint8_t> seen(num_groups, 0);
-        kernels::GroupedMinMax(v, rows.data(), group_of.data(), span.begin,
-                               span.end, mins.data(), maxs.data(), seen.data());
-        // Note: the typed min/max never touches count, matching the former
-        // loops (Finish ignores count for them).
-        for (size_t g = 0; g < num_groups; ++g) {
-          if (seen[g] == 0) continue;
-          AggState& st = (*states)[g];
-          if (op == AggOp::kMin) {
-            const double m = mins[g];
-            if (st.min.is_null() || m < st.min.AsDouble()) {
-              st.min = Value::Double(m);
-            }
-          } else {
-            const double m = maxs[g];
-            if (st.max.is_null() || m > st.max.AsDouble()) {
-              st.max = Value::Double(m);
-            }
-          }
-        }
-        return;
-      }
-    }
-    return;
-  }
-
-  // String / boxed-fallback arguments: per-row boxed update (identical to
-  // the scalar interpreter path).
-  for (size_t pos = span.begin; pos < npos; ++pos) {
-    state(pos).Update(op, arg.CellValue(static_cast<size_t>(rows[pos])),
-                      /*count_star=*/false);
   }
 }
 
@@ -682,20 +454,13 @@ Result<TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
     // Pure aggregation over zero rows still yields one output row.
     if (stmt.group_by.empty() && num_groups == 0) num_groups = 1;
 
-    // Chunked accumulation: each chunk of selection positions fills its own
-    // partial states and the partials merge in chunk order. Chunk boundaries
-    // come from AggChunkSize — a function of the data shape only, never the
-    // thread count or the kill switch — so the merged result is bit-identical
-    // whether the chunks run sequentially or across the morsel pool. One
-    // aggregate at a time, so exactly one full-table argument register is
-    // live (the boundaries are shared by every aggregate, so the per-agg
-    // merge order changes nothing).
-    const size_t chunk_rows = parallel::AggChunkSize(
-        selection.size(), num_groups * std::max<size_t>(1, agg_items.size()));
+    // One aggregate at a time, so exactly one full-table argument register
+    // is live. The aggregate core accumulates each chunk of selection
+    // positions into partial states (across the morsel pool) and merges them
+    // in chunk order; the chunk boundaries are shared by every aggregate.
     const std::vector<parallel::Range> chunks =
-        parallel::SplitRanges(selection.size(), chunk_rows);
-    std::vector<std::vector<AggState>> group_states(
-        num_groups, std::vector<AggState>(agg_items.size()));
+        expr::AggChunks(selection.size(), num_groups, agg_items.size());
+    std::vector<std::vector<Value>> agg_values(agg_items.size());
     for (size_t a = 0; a < agg_items.size(); ++a) {
       const SelectItem* item = agg_items[a];
       Vec arg;
@@ -704,33 +469,10 @@ Result<TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
                       cancel);
         if (common::Fired(cancel)) return bail(cancel->status());
       }
-      std::vector<std::vector<AggState>> chunk_states(chunks.size());
-      parallel::ParallelFor(
-          chunks.size(),
-          [&](size_t c) {
-            std::vector<AggState>& states = chunk_states[c];
-            states.assign(num_groups, AggState());
-            if (item->agg_arg == nullptr) {
-              // COUNT(*): group cardinalities, no argument to evaluate.
-              std::vector<uint64_t> counts(num_groups, 0);
-              kernels::GroupedCountStar(groups.group_of.data(), chunks[c].begin,
-                                        chunks[c].end, counts.data());
-              for (size_t g = 0; g < num_groups; ++g) {
-                states[g].count += static_cast<size_t>(counts[g]);
-              }
-              return;
-            }
-            AccumulateAgg(item->agg_op, arg, *acc_rows, groups.group_of,
-                          chunks[c], &states);
-          },
-          cancel);
-      // Checkpoint before the merge: skipped chunks left default states.
+      agg_values[a] =
+          expr::AggregateGroups(item->agg_op, item->agg_arg != nullptr ? &arg : nullptr,
+                                *acc_rows, groups.group_of, num_groups, chunks, cancel);
       if (common::Fired(cancel)) return bail(cancel->status());
-      for (size_t c = 0; c < chunks.size(); ++c) {
-        for (size_t g = 0; g < num_groups; ++g) {
-          group_states[g][a].Merge(item->agg_op, std::move(chunk_states[c][g]));
-        }
-      }
     }
 
     // Build the output columns group-at-a-time.
@@ -754,10 +496,7 @@ Result<TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
           key.AppendCellTo(static_cast<size_t>(groups.rep_rows[g]), &col);
         }
       } else {
-        for (size_t g = 0; g < num_groups; ++g) {
-          col.Append(group_states[g][item_plans[i].agg_index].Finish(
-              stmt.items[i].agg_op));
-        }
+        for (const Value& v : agg_values[item_plans[i].agg_index]) col.Append(v);
       }
       columns.push_back(std::move(col));
     }

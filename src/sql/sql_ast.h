@@ -11,23 +11,15 @@
 #include <string>
 #include <vector>
 
+#include "expr/aggregate.h"
 #include "expr/ast.h"
 
 namespace vegaplus {
 namespace sql {
 
-/// Aggregate operators supported by the engine (superset of the Vega
-/// aggregate transform ops the rewriter emits).
-enum class AggOp {
-  kCount,    // COUNT(*) or COUNT(x) (non-null)
-  kSum,
-  kAvg,
-  kMin,
-  kMax,
-  kMedian,
-  kStddev,
-  kVariance,
-};
+/// Aggregate operators supported by the engine: the aggregate core's ops
+/// (expr/aggregate.h), which the Vega aggregate transform also runs on.
+using AggOp = expr::AggOp;
 
 const char* AggOpName(AggOp op);
 

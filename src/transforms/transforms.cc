@@ -53,18 +53,17 @@ Vec ColumnOrNullVec(const Column* col) {
   return v;
 }
 
-/// Group all rows of an n-row table by `key_cols` (missing columns group as
-/// null). Returns group ids per row plus one representative row per group.
+/// Group `rows` by `key_cols` (missing columns group as null). Returns group
+/// ids per position plus one representative row per group.
 expr::GroupResult GroupByColumns(const std::vector<const Column*>& key_cols,
-                                 size_t n, std::vector<Vec>* key_vecs) {
+                                 const std::vector<int32_t>& rows,
+                                 std::vector<Vec>* key_vecs) {
   key_vecs->clear();
   key_vecs->reserve(key_cols.size());
   for (const Column* c : key_cols) key_vecs->push_back(ColumnOrNullVec(c));
   std::vector<const Vec*> ptrs;
   ptrs.reserve(key_vecs->size());
   for (const Vec& v : *key_vecs) ptrs.push_back(&v);
-  std::vector<int32_t> rows(n);
-  std::iota(rows.begin(), rows.end(), 0);
   return expr::BuildGroups(ptrs, rows);
 }
 
@@ -95,6 +94,20 @@ const char* VegaAggOpName(VegaAggOp op) {
     case VegaAggOp::kStdev: return "stdev";
   }
   return "?";
+}
+
+CoreAgg CoreAggOf(VegaAggOp op) {
+  switch (op) {
+    case VegaAggOp::kCount: return {expr::AggOp::kCount, false};
+    case VegaAggOp::kValid: return {expr::AggOp::kCount, true};
+    case VegaAggOp::kSum: return {expr::AggOp::kSum, true};
+    case VegaAggOp::kMean: return {expr::AggOp::kAvg, true};
+    case VegaAggOp::kMin: return {expr::AggOp::kMin, true};
+    case VegaAggOp::kMax: return {expr::AggOp::kMax, true};
+    case VegaAggOp::kMedian: return {expr::AggOp::kMedian, true};
+    case VegaAggOp::kStdev: return {expr::AggOp::kStddev, true};
+  }
+  return {expr::AggOp::kCount, false};
 }
 
 // ---- FilterOp ----
@@ -237,104 +250,6 @@ Result<EvalResult> BinOp::Evaluate(const TablePtr& input,
 
 namespace {
 
-struct VegaAggState {
-  size_t count = 0;
-  size_t valid = 0;
-  double sum = 0;
-  double sum_sq = 0;
-  Value min = Value::Null();
-  Value max = Value::Null();
-  std::vector<double> values;  // median
-
-  void Update(VegaAggOp op, const Value& v) {
-    ++count;
-    if (v.is_null()) return;
-    ++valid;
-    switch (op) {
-      case VegaAggOp::kSum:
-      case VegaAggOp::kMean:
-        sum += v.AsDouble();
-        break;
-      case VegaAggOp::kStdev:
-        sum += v.AsDouble();
-        sum_sq += v.AsDouble() * v.AsDouble();
-        break;
-      case VegaAggOp::kMedian:
-        values.push_back(v.AsDouble());
-        break;
-      case VegaAggOp::kMin:
-        if (min.is_null() || v.Compare(min) < 0) min = v;
-        break;
-      case VegaAggOp::kMax:
-        if (max.is_null() || v.Compare(max) > 0) max = v;
-        break;
-      default:
-        break;
-    }
-  }
-
-  /// Fold `other` (a later chunk of the same group's rows) into this state.
-  /// Mirrors sql::AggState::Merge: chunks merge in row order, with chunk
-  /// boundaries fixed by AggChunkSize (independent of thread count and of
-  /// the morsel kill switch), so results are identical at any parallelism.
-  void Merge(VegaAggOp op, VegaAggState&& other) {
-    count += other.count;
-    valid += other.valid;
-    switch (op) {
-      case VegaAggOp::kSum:
-      case VegaAggOp::kMean:
-        sum += other.sum;
-        break;
-      case VegaAggOp::kStdev:
-        sum += other.sum;
-        sum_sq += other.sum_sq;
-        break;
-      case VegaAggOp::kMedian:
-        values.insert(values.end(), other.values.begin(), other.values.end());
-        break;
-      case VegaAggOp::kMin:
-        if (!other.min.is_null() && (min.is_null() || other.min.Compare(min) < 0)) {
-          min = std::move(other.min);
-        }
-        break;
-      case VegaAggOp::kMax:
-        if (!other.max.is_null() && (max.is_null() || other.max.Compare(max) > 0)) {
-          max = std::move(other.max);
-        }
-        break;
-      default:
-        break;  // count/valid already folded
-    }
-  }
-
-  Value Finish(VegaAggOp op) {
-    switch (op) {
-      case VegaAggOp::kCount: return Value::Int(static_cast<int64_t>(count));
-      case VegaAggOp::kValid: return Value::Int(static_cast<int64_t>(valid));
-      case VegaAggOp::kSum: return valid == 0 ? Value::Null() : Value::Double(sum);
-      case VegaAggOp::kMean:
-        return valid == 0 ? Value::Null()
-                          : Value::Double(sum / static_cast<double>(valid));
-      case VegaAggOp::kMin: return min;
-      case VegaAggOp::kMax: return max;
-      case VegaAggOp::kMedian: {
-        if (values.empty()) return Value::Null();
-        std::sort(values.begin(), values.end());
-        size_t n = values.size();
-        return Value::Double(n % 2 == 1 ? values[n / 2]
-                                        : 0.5 * (values[n / 2 - 1] + values[n / 2]));
-      }
-      case VegaAggOp::kStdev: {
-        if (valid < 2) return Value::Null();
-        double n = static_cast<double>(valid);
-        double var = (sum_sq - sum * sum / n) / (n - 1);
-        return Value::Double(std::sqrt(std::max(0.0, var)));
-      }
-    }
-    return Value::Null();
-  }
-};
-
 DataType VegaAggResultType(VegaAggOp op, const Column* arg) {
   switch (op) {
     case VegaAggOp::kCount:
@@ -388,109 +303,17 @@ Result<EvalResult> AggregateOp::Evaluate(const TablePtr& input,
   }
 
   // Hash-group all rows by the typed key registers (one pass, no boxing),
-  // then accumulate each aggregate with one typed branch per batch.
+  // then run each measure through the aggregate core — the same
+  // accumulate/merge/finish the SQL executor's GROUP BY uses. One measure
+  // at a time, so exactly one widened column register is live.
   const size_t n = input->num_rows();
+  std::vector<int32_t> rows(n);
+  std::iota(rows.begin(), rows.end(), 0);
   std::vector<Vec> key_vecs;
-  expr::GroupResult groups = GroupByColumns(group_cols, n, &key_vecs);
+  expr::GroupResult groups = GroupByColumns(group_cols, rows, &key_vecs);
   const size_t num_groups = groups.num_groups();
-
-  // Chunked accumulation, mirroring the SQL executor: each chunk of rows
-  // fills its own partial states (possibly across the morsel pool) and the
-  // partials merge in chunk order. Chunk boundaries depend only on the data
-  // shape, so the merged result is identical at any parallelism and with
-  // the kill switch off. One measure at a time, so exactly one widened
-  // column register is live.
-  const size_t chunk_rows = parallel::AggChunkSize(
-      n, num_groups * std::max<size_t>(1, params_.ops.size()));
-  const std::vector<parallel::Range> chunks = parallel::SplitRanges(n, chunk_rows);
-  // VegaAggState counts every row; the row count is the chunk-local group
-  // size, computed once and shared by every numeric measure.
-  std::vector<std::vector<size_t>> chunk_sizes(chunks.size());
-  parallel::ParallelFor(chunks.size(), [&](size_t c) {
-    chunk_sizes[c].assign(num_groups, 0);
-    for (size_t r = chunks[c].begin; r < chunks[c].end; ++r) {
-      ++chunk_sizes[c][groups.group_of[r]];
-    }
-  });
-  std::vector<std::vector<VegaAggState>> states(
-      num_groups, std::vector<VegaAggState>(params_.ops.size()));
-  for (size_t a = 0; a < params_.ops.size(); ++a) {
-    const VegaAggOp op = params_.ops[a];
-    const Vec arg = ColumnOrNullVec(measure_cols[a]);
-    std::vector<std::vector<VegaAggState>> chunk_states(chunks.size());
-    parallel::ParallelFor(chunks.size(), [&](size_t c) {
-      std::vector<VegaAggState>& st_c = chunk_states[c];
-      st_c.assign(num_groups, VegaAggState());
-      const size_t begin = chunks[c].begin, end = chunks[c].end;
-      if (arg.kind == expr::RegKind::kStr) {
-        // String measures (min/max over categories): boxed per-row updates.
-        for (size_t r = begin; r < end; ++r) {
-          st_c[groups.group_of[r]].Update(op, arg.CellValue(r));
-        }
-        return;
-      }
-      for (size_t g = 0; g < num_groups; ++g) st_c[g].count = chunk_sizes[c][g];
-      switch (op) {
-        case VegaAggOp::kCount:
-          break;  // count preset above
-        case VegaAggOp::kValid:
-          for (size_t r = begin; r < end; ++r) {
-            if (arg.ValidAt(r)) ++st_c[groups.group_of[r]].valid;
-          }
-          break;
-        case VegaAggOp::kSum:
-        case VegaAggOp::kMean:
-          for (size_t r = begin; r < end; ++r) {
-            if (!arg.ValidAt(r)) continue;
-            VegaAggState& st = st_c[groups.group_of[r]];
-            st.sum += arg.NumAt(r);
-            ++st.valid;
-          }
-          break;
-        case VegaAggOp::kStdev:
-          for (size_t r = begin; r < end; ++r) {
-            if (!arg.ValidAt(r)) continue;
-            VegaAggState& st = st_c[groups.group_of[r]];
-            const double v = arg.NumAt(r);
-            st.sum += v;
-            st.sum_sq += v * v;
-            ++st.valid;
-          }
-          break;
-        case VegaAggOp::kMedian:
-          for (size_t r = begin; r < end; ++r) {
-            if (!arg.ValidAt(r)) continue;
-            VegaAggState& st = st_c[groups.group_of[r]];
-            st.values.push_back(arg.NumAt(r));
-            ++st.valid;
-          }
-          break;
-        case VegaAggOp::kMin:
-          for (size_t r = begin; r < end; ++r) {
-            if (!arg.ValidAt(r)) continue;
-            VegaAggState& st = st_c[groups.group_of[r]];
-            const double v = arg.NumAt(r);
-            if (st.min.is_null() || v < st.min.AsDouble()) st.min = Value::Double(v);
-            ++st.valid;
-          }
-          break;
-        case VegaAggOp::kMax:
-          for (size_t r = begin; r < end; ++r) {
-            if (!arg.ValidAt(r)) continue;
-            VegaAggState& st = st_c[groups.group_of[r]];
-            const double v = arg.NumAt(r);
-            if (st.max.is_null() || v > st.max.AsDouble()) st.max = Value::Double(v);
-            ++st.valid;
-          }
-          break;
-      }
-    });
-    for (size_t c = 0; c < chunks.size(); ++c) {
-      for (size_t g = 0; g < num_groups; ++g) {
-        states[g][a].Merge(op, std::move(chunk_states[c][g]));
-      }
-    }
-  }
+  const std::vector<parallel::Range> chunks =
+      expr::AggChunks(n, num_groups, params_.ops.size());
 
   // Group-key output columns gather the representative rows straight from
   // the input columns (typed, zero boxing); aggregate columns append the
@@ -510,11 +333,15 @@ Result<EvalResult> AggregateOp::Evaluate(const TablePtr& input,
     }
   }
   for (size_t a = 0; a < params_.ops.size(); ++a) {
+    const CoreAgg core = CoreAggOf(params_.ops[a]);
+    const Vec arg = core.reads_field ? ColumnOrNullVec(measure_cols[a]) : Vec();
     fields.push_back({params_.as[a], VegaAggResultType(params_.ops[a], measure_cols[a])});
     Column col(fields.back().type);
     col.Reserve(num_groups);
-    for (size_t g = 0; g < num_groups; ++g) {
-      col.Append(states[g][a].Finish(params_.ops[a]));
+    for (const Value& v :
+         expr::AggregateGroups(core.op, core.reads_field ? &arg : nullptr, rows,
+                               groups.group_of, num_groups, chunks)) {
+      col.Append(v);
     }
     columns.push_back(std::move(col));
   }
@@ -626,8 +453,10 @@ Result<EvalResult> StackOp::Evaluate(const TablePtr& input,
   // Partition rows via the typed group index, preserving first-seen
   // partition order (keys are stored once, in the key registers).
   const size_t n = input->num_rows();
+  std::vector<int32_t> all_rows(n);
+  std::iota(all_rows.begin(), all_rows.end(), 0);
   std::vector<Vec> part_key_vecs;
-  expr::GroupResult groups = GroupByColumns(group_cols, n, &part_key_vecs);
+  expr::GroupResult groups = GroupByColumns(group_cols, all_rows, &part_key_vecs);
   std::vector<std::vector<int32_t>> part_rows(groups.num_groups());
   for (size_t r = 0; r < n; ++r) {
     part_rows[groups.group_of[r]].push_back(static_cast<int32_t>(r));

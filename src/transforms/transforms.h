@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "dataflow/operator.h"
+#include "expr/aggregate.h"
 #include "expr/ast.h"
 #include "transforms/field_ref.h"
 
@@ -22,6 +23,19 @@ enum class VegaAggOp { kCount, kValid, kSum, kMean, kMin, kMax, kMedian, kStdev 
 /// Parse a Vega aggregate op name; false on unknown names.
 bool ParseVegaAggOp(const std::string& name, VegaAggOp* op);
 const char* VegaAggOpName(VegaAggOp op);
+
+/// A Vega op as an aggregate-core op (expr/aggregate.h), and whether it
+/// reads its field.
+struct CoreAgg {
+  expr::AggOp op;
+  bool reads_field;
+};
+
+/// count -> COUNT(*), valid -> COUNT(field), mean -> AVG, stdev -> STDDEV,
+/// and the other ops to their own names. AggregateOp and the SQL rewriter
+/// both map through this, so the client plan and the pushed-down plan run
+/// the same aggregate.
+CoreAgg CoreAggOf(VegaAggOp op);
 
 /// \brief filter: keep tuples whose predicate expression is truthy.
 class FilterOp : public dataflow::Operator {

@@ -46,21 +46,17 @@ class DictSwitchGuard {
 class MorselConfigGuard {
  public:
   MorselConfigGuard(size_t morsel_rows, size_t threads)
-      : saved_rows_(parallel::MorselRows()),
-        saved_enabled_(parallel::MorselParallelEnabled()) {
+      : saved_rows_(parallel::MorselRows()) {
     parallel::SetMorselRows(morsel_rows);
     parallel::SetMorselParallelism(threads);
-    parallel::SetMorselParallelEnabled(true);
   }
   ~MorselConfigGuard() {
-    parallel::SetMorselParallelEnabled(saved_enabled_);
     parallel::SetMorselParallelism(0);  // 0 = hardware default
     parallel::SetMorselRows(saved_rows_);
   }
 
  private:
   size_t saved_rows_;
-  bool saved_enabled_;
 };
 
 /// The same logical table in both physical forms.

@@ -32,14 +32,11 @@ using testutil::SameCell;
 class MorselConfigGuard {
  public:
   MorselConfigGuard(size_t morsel_rows, size_t threads)
-      : saved_rows_(parallel::MorselRows()),
-        saved_enabled_(parallel::MorselParallelEnabled()) {
+      : saved_rows_(parallel::MorselRows()) {
     parallel::SetMorselRows(morsel_rows);
     parallel::SetMorselParallelism(threads);
-    parallel::SetMorselParallelEnabled(true);
   }
   ~MorselConfigGuard() {
-    parallel::SetMorselParallelEnabled(saved_enabled_);
     parallel::SetMorselParallelism(0);  // 0 = hardware default (no getter for
                                         // the raw setting; tests always run
                                         // from the default)
@@ -48,7 +45,6 @@ class MorselConfigGuard {
 
  private:
   size_t saved_rows_;
-  bool saved_enabled_;
 };
 
 TEST(MorselDiffTest, CorpusRegistersMatchSingleThreaded) {
@@ -139,11 +135,10 @@ const char* kQueries[] = {
 TEST_F(MorselQueryDiffTest, QueriesMatchKillSwitchPath) {
   MorselConfigGuard guard(/*morsel_rows=*/1024, /*threads=*/4);
   for (const char* sql : kQueries) {
-    parallel::SetMorselParallelEnabled(true);
     data::TablePtr on = Run(sql);
-    parallel::SetMorselParallelEnabled(false);
+    parallel::SetMorselParallelism(1);
     data::TablePtr off = Run(sql);
-    parallel::SetMorselParallelEnabled(true);
+    parallel::SetMorselParallelism(4);
     ASSERT_NE(on, nullptr) << sql;
     ASSERT_NE(off, nullptr) << sql;
     ASSERT_TRUE(on->Equals(*off))
@@ -162,11 +157,10 @@ TEST_F(MorselQueryDiffTest, ScalarPathQueriesMatchKillSwitchPath) {
   MorselConfigGuard guard(/*morsel_rows=*/1024, /*threads=*/4);
   VectorizedOffGuard vectorized_off;  // restored even when an ASSERT bails out
   for (const char* sql : kQueries) {
-    parallel::SetMorselParallelEnabled(true);
     data::TablePtr on = Run(sql);
-    parallel::SetMorselParallelEnabled(false);
+    parallel::SetMorselParallelism(1);
     data::TablePtr off = Run(sql);
-    parallel::SetMorselParallelEnabled(true);
+    parallel::SetMorselParallelism(4);
     ASSERT_NE(on, nullptr) << sql;
     ASSERT_NE(off, nullptr) << sql;
     ASSERT_TRUE(on->Equals(*off)) << sql;
@@ -207,11 +201,10 @@ TEST_F(MorselQueryDiffTest, TransformsMatchKillSwitchPath) {
     auto pred = expr::ParseExpression("datum.dd > 0 && datum.ii <= 5");
     ASSERT_TRUE(pred.ok());
     transforms::FilterOp filter(*pred);
-    parallel::SetMorselParallelEnabled(true);
     data::TablePtr on = run_transform(filter);
-    parallel::SetMorselParallelEnabled(false);
+    parallel::SetMorselParallelism(1);
     data::TablePtr off = run_transform(filter);
-    parallel::SetMorselParallelEnabled(true);
+    parallel::SetMorselParallelism(4);
     ASSERT_NE(on, nullptr);
     ASSERT_NE(off, nullptr);
     ASSERT_TRUE(on->Equals(*off));
@@ -225,11 +218,10 @@ TEST_F(MorselQueryDiffTest, TransformsMatchKillSwitchPath) {
     params.ops = {transforms::VegaAggOp::kMean, transforms::VegaAggOp::kStdev,
                   transforms::VegaAggOp::kSum, transforms::VegaAggOp::kMax};
     transforms::AggregateOp agg(params);
-    parallel::SetMorselParallelEnabled(true);
     data::TablePtr on = run_transform(agg);
-    parallel::SetMorselParallelEnabled(false);
+    parallel::SetMorselParallelism(1);
     data::TablePtr off = run_transform(agg);
-    parallel::SetMorselParallelEnabled(true);
+    parallel::SetMorselParallelism(4);
     ASSERT_NE(on, nullptr);
     ASSERT_NE(off, nullptr);
     ASSERT_TRUE(on->Equals(*off));

@@ -146,6 +146,13 @@ TEST(RewriterTest, UntranslatableFilterNotRewritable) {
   EXPECT_TRUE(IsRewritable(good));
 }
 
+TEST(RewriterTest, AggregateWithNullFieldIsRejected) {
+  ServerPipeline p = MakeTablePipeline("t");
+  spec::TransformSpec ts{"aggregate", *json::Parse(
+      R"({"type":"aggregate","ops":["sum"],"fields":[null]})")};
+  EXPECT_TRUE(ExtendPipeline(&p, ts, 0).IsParseError());
+}
+
 TEST(RewriterTest, RewritablePrefixStopsAtFirstUnsupported) {
   spec::DataSpec d;
   d.transforms = {

@@ -101,6 +101,25 @@ TEST(TransformFactoryTest, AggregateDefaultsToCount) {
   EXPECT_EQ((*op)->type(), "aggregate");
 }
 
+// Vega rejects an aggregate op other than count without a field ("Null
+// aggregate field specified."); so does the factory, and with it the SQL
+// rewriter, which builds through the same function.
+TEST(TransformFactoryTest, AggregateRejectsNullFieldForNonCountOps) {
+  auto build = [](const char* params) {
+    return BuildTransformOp(TransformSpec{"aggregate", *json::Parse(params)});
+  };
+  auto null_fields = build(
+      R"({"type":"aggregate","ops":["sum","mean","valid"],"fields":[null,null,null]})");
+  ASSERT_FALSE(null_fields.ok());
+  EXPECT_TRUE(null_fields.status().IsParseError()) << null_fields.status();
+  // A fields list shorter than ops leaves the later ops without a field.
+  EXPECT_FALSE(build(R"({"type":"aggregate","ops":["count","max"],"fields":[null]})").ok());
+  EXPECT_TRUE(build(R"({"type":"aggregate","ops":["count"],"fields":[null]})").ok());
+  EXPECT_TRUE(build(R"({"type":"aggregate","ops":["count","sum"],
+                        "fields":[null,{"signal":"f"}]})")
+                  .ok());
+}
+
 TEST(TransformFactoryTest, BinRequiresExtent) {
   TransformSpec ts{"bin", *json::Parse(R"({"type":"bin","field":"x"})")};
   EXPECT_FALSE(BuildTransformOp(ts).ok());

@@ -45,21 +45,17 @@ std::string TempPath(const std::string& name) {
 class MorselConfigGuard {
  public:
   MorselConfigGuard(size_t morsel_rows, size_t threads)
-      : saved_rows_(parallel::MorselRows()),
-        saved_enabled_(parallel::MorselParallelEnabled()) {
+      : saved_rows_(parallel::MorselRows()) {
     parallel::SetMorselRows(morsel_rows);
     parallel::SetMorselParallelism(threads);
-    parallel::SetMorselParallelEnabled(true);
   }
   ~MorselConfigGuard() {
-    parallel::SetMorselParallelEnabled(saved_enabled_);
     parallel::SetMorselParallelism(0);
     parallel::SetMorselRows(saved_rows_);
   }
 
  private:
   size_t saved_rows_;
-  bool saved_enabled_;
 };
 
 class PruningGuard {
