@@ -13,8 +13,10 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "expr/kernels/kernels.h"
 #include "runtime/middleware.h"
 #include "storage/reader.h"
+#include "storage/stats.h"
 #include "storage/table_shard.h"
 
 using namespace vegaplus;         // NOLINT
@@ -279,8 +281,9 @@ int main() {
 
   // --- Out-of-core shard workload: the same closed-loop shape, but the
   // sessions brush a shard-backed table clustered on the brushed column, so
-  // the middleware's storage counters (zone-map prunes, chunk page-ins,
-  // resident bytes) are exercised and surfaced in the JSON output.
+  // the storage counters (zone-map prunes, chunk page-ins, resident bytes)
+  // are exercised and surfaced in the JSON output. The counters are
+  // process-wide; the phase reports their deltas around its own run.
   {
     constexpr size_t kShardRows = 200000;
     constexpr size_t kShardSessions = 4;
@@ -316,6 +319,11 @@ int main() {
     options.worker_threads = kShardSessions;
     runtime::Middleware middleware(&engine, options);
 
+    const uint64_t chunks_pruned_before = storage::ChunksPruned();
+    const uint64_t morsels_pruned_before = storage::MorselsPruned();
+    const uint64_t chunks_paged_in_before = storage::ChunksPagedIn();
+    const uint64_t bitmap_before = kernels::BitmapSelections();
+    const uint64_t index_before = kernels::IndexSelections();
     StopWatch wall;
     std::atomic<bool> failed{false};
     std::vector<std::thread> threads;
@@ -350,27 +358,30 @@ int main() {
     if (failed) Die(Status::RuntimeError("query failed"), "shard workload");
     const double shard_wall_ms = wall.ElapsedMillis();
 
-    auto stats = middleware.stats();
+    const size_t chunks_pruned = storage::ChunksPruned() - chunks_pruned_before;
+    const size_t morsels_pruned = storage::MorselsPruned() - morsels_pruned_before;
+    const size_t chunks_paged_in = storage::ChunksPagedIn() - chunks_paged_in_before;
+    const size_t resident_bytes = storage::ResidentBytes();  // a gauge, read raw
+    const size_t bitmap_selections = kernels::BitmapSelections() - bitmap_before;
+    const size_t index_selections = kernels::IndexSelections() - index_before;
     std::printf("\n=== out-of-core shard: %zu sessions x %zu brushes ===\n",
                 kShardSessions, kShardQueries);
     std::printf("chunks_pruned=%zu chunks_paged_in=%zu resident_bytes=%zu\n",
-                stats.storage_chunks_pruned, stats.storage_chunks_paged_in,
-                stats.storage_resident_bytes);
-    std::printf("kernel_bitmap=%zu kernel_index=%zu\n", stats.kernel_bitmap_selections,
-                stats.kernel_index_selections);
+                chunks_pruned, chunks_paged_in, resident_bytes);
+    std::printf("kernel_bitmap=%zu kernel_index=%zu\n", bitmap_selections, index_selections);
     json::Value row = json::Value::MakeObject();
     row.Set("sessions", kShardSessions);
     row.Set("queries", kShardSessions * kShardQueries);
     row.Set("wall_ms", shard_wall_ms);
-    row.Set("storage_chunks_pruned", stats.storage_chunks_pruned);
-    row.Set("storage_morsels_pruned", stats.storage_morsels_pruned);
-    row.Set("storage_chunks_paged_in", stats.storage_chunks_paged_in);
-    row.Set("storage_resident_bytes", stats.storage_resident_bytes);
-    row.Set("kernel_bitmap_selections", stats.kernel_bitmap_selections);
-    row.Set("kernel_index_selections", stats.kernel_index_selections);
+    row.Set("storage_chunks_pruned", chunks_pruned);
+    row.Set("storage_morsels_pruned", morsels_pruned);
+    row.Set("storage_chunks_paged_in", chunks_paged_in);
+    row.Set("storage_resident_bytes", resident_bytes);
+    row.Set("kernel_bitmap_selections", bitmap_selections);
+    row.Set("kernel_index_selections", index_selections);
     reporter.AddMetric("out_of_core_shard", std::move(row));
     reporter.AddPhase("out_of_core_shard", shard_wall_ms);
-    if (stats.storage_chunks_pruned == 0) {
+    if (chunks_pruned == 0) {
       std::fprintf(stderr,
                    "GATE FAILED: clustered shard brushes pruned no chunks\n");
       return 1;
@@ -466,8 +477,13 @@ int main() {
                 Percentile(all, 0.95), Percentile(all, 0.99));
 
     // The pool must come back clean: a fresh query right after the storm.
-    auto after = middleware.Execute("SELECT COUNT(*) AS n FROM flights");
+    auto after_handle = middleware.Prepare("SELECT COUNT(*) AS n FROM flights");
+    if (!after_handle.ok()) Die(after_handle.status(), "post-storm prepare");
+    rewrite::QueryRequest after_request;
+    after_request.handle = *after_handle;
+    auto after = middleware.Submit(after_request)->Await();
     if (!after.ok()) Die(after.status(), "post-storm query");
+    middleware.Release(*after_handle);
 
     json::Value row = json::Value::MakeObject();
     row.Set("sessions", kStormSessions);

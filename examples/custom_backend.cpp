@@ -6,8 +6,7 @@
 //     that VDTs speak to the middleware, and
 //   * a custom rewrite::QueryService (here: a tracing decorator) plugged
 //     under the VDTs. Services implement the session API (Prepare/Submit);
-//     the legacy blocking Execute(sql) is a deprecated base-class shim over
-//     that same pair.
+//     there is no string execution path besides it.
 //
 // Build & run:  ./build/examples/custom_backend
 #include <cstdio>

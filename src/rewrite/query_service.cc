@@ -84,18 +84,5 @@ void QueryTicket::Deliver(Result<QueryResponse> response) {
   cv_.notify_all();
 }
 
-Result<QueryResponse> QueryService::Execute(const std::string& sql) {
-  // Deprecated shim: one front door. The string is prepared as a
-  // parameterless template and pushed through the async path synchronously.
-  VP_ASSIGN_OR_RETURN(PreparedHandle handle, Prepare(sql));
-  QueryRequest request;
-  request.handle = handle;
-  QueryTicketPtr ticket = Submit(request);
-  if (!ticket) {
-    return Status::RuntimeError("query service: Submit returned no ticket");
-  }
-  return ticket->Await();
-}
-
 }  // namespace rewrite
 }  // namespace vegaplus

@@ -8,10 +8,8 @@
 //     QueryTicket immediately; Await() blocks for the response, Cancel()
 //     abandons it. A newer generation submitted for the same handle within a
 //     session supersedes (cancels) the older in-flight request.
-//   * Execute(sql) is the retired legacy string path: a deprecated shim that
-//     forwards through Prepare + Submit + Await. Implementations provide
-//     Prepare/Submit; there is no synchronous execution path of its own
-//     anymore.
+// There is no string execution path: a one-off query is a parameterless
+// template, prepared once and submitted.
 #ifndef VEGAPLUS_REWRITE_QUERY_SERVICE_H_
 #define VEGAPLUS_REWRITE_QUERY_SERVICE_H_
 
@@ -176,9 +174,6 @@ using QueryTicketPtr = std::shared_ptr<QueryTicket>;
 ///
 /// Implementations provide the session API: Prepare (parse a SQL template
 /// once, return a handle) and Submit (bind parameters, return a ticket).
-/// The former pure-virtual Execute(sql) contract — and the base-class sync
-/// adapter that let a service implement only Execute — is retired; Execute
-/// survives only as a deprecated shim over the session API.
 class QueryService {
  public:
   virtual ~QueryService() = default;
@@ -192,14 +187,6 @@ class QueryService {
   /// ticket immediately. Implementations are free to resolve it
   /// synchronously (QueryTicket::Ready).
   virtual QueryTicketPtr Submit(const QueryRequest& request) = 0;
-
-  /// DEPRECATED legacy blocking string path. The default forwards through
-  /// the session API — Prepare(sql), Submit with no parameters, Await — so
-  /// every execution flows through the one asynchronous front door.
-  /// Overrides may adjust shim bookkeeping (runtime::Session releases its
-  /// transient statement pin) but must not reintroduce a second execution
-  /// path. New callers should use Prepare/Submit directly.
-  virtual Result<QueryResponse> Execute(const std::string& sql);
 };
 
 /// Resolver view over a Submit call's bound parameters.

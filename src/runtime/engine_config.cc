@@ -1,6 +1,5 @@
 #include "runtime/engine_config.h"
 
-#include "common/cancel.h"
 #include "common/parallel.h"
 #include "data/column.h"
 #include "expr/batch_eval.h"
@@ -19,7 +18,6 @@ EngineConfig EngineConfig::Current() {
   cfg.tile_serving = tiles::TileServingEnabled();
   cfg.zone_map_pruning = storage::ZoneMapPruningEnabled();
   cfg.storage_residency_bytes = storage::DefaultResidencyBudget();
-  cfg.cooperative_cancel = common::CooperativeCancelEnabled();
   return cfg;
 }
 
@@ -31,7 +29,6 @@ void EngineConfig::Apply() const {
   tiles::SetTileServingEnabled(tile_serving);
   storage::SetZoneMapPruningEnabled(zone_map_pruning);
   storage::SetDefaultResidencyBudget(storage_residency_bytes);
-  common::SetCooperativeCancelEnabled(cooperative_cancel);
 }
 
 }  // namespace runtime

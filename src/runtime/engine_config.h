@@ -45,12 +45,6 @@ struct EngineConfig {
   /// Byte budget for decoded chunks resident per storage::Reader (LRU
   /// evicted beyond it). 0 = unbounded.
   size_t storage_residency_bytes = 256 << 20;
-  /// Cooperative cancellation: morsel/page-in/tile-build checkpoints honor
-  /// fired CancelTokens (common/cancel.h), reclaiming workers mid-query when
-  /// a deadline expires or a ticket is cancelled. Disabling restores
-  /// run-to-completion behavior; results are bit-identical either way
-  /// whenever no token fires.
-  bool cooperative_cancel = true;
 
   /// Snapshot the live process-wide switches.
   static EngineConfig Current();

@@ -10,9 +10,7 @@
 
 #include "common/random.h"
 #include "data/ipc.h"
-#include "expr/kernels/kernels.h"
 #include "expr/sql_translator.h"
-#include "storage/stats.h"
 
 namespace vegaplus {
 namespace runtime {
@@ -26,7 +24,8 @@ using rewrite::QueryTicketPtr;
 
 namespace {
 
-using Deadline = std::optional<std::chrono::steady_clock::time_point>;
+using Clock = std::chrono::steady_clock;
+using Deadline = std::optional<Clock::time_point>;
 
 // FNV-1a, for deterministic per-(key, attempt) backoff jitter.
 uint64_t HashKey(const std::string& key) {
@@ -52,67 +51,79 @@ std::string HedgeInjectorKey(const std::string& key) {
   return std::string("hedge:") + digest + "#1";
 }
 
-// Shared state of one hedged execution race. Ownership protocol: only the
-// *primary* worker sets `decided` (by finishing first or by adopting the
-// hedge's result); the hedge side only publishes hedge_started/hedge_done/
-// hedge_result. That single-writer rule is what makes the first-success
-// claim race-free.
-struct HedgeRace {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool decided = false;        // primary claimed an outcome; hedge no-ops
-  bool hedge_started = false;  // hedge began backend work
-  bool hedge_done = false;     // hedge finished (or declined to start)
-  std::optional<Result<sql::QueryResult>> hedge_result;
-  double hedge_fault_ms = 0;   // injected stall charged to the hedge attempt
-  double threshold_ms = 0;     // delay before the hedge starts
-  /// Child of the primary's token: the primary abandons a losing hedge
-  /// through it without touching its own cancellation state, while a fired
-  /// parent (superseded ticket) stops both attempts.
-  std::shared_ptr<common::CancelToken> hedge_token;
-};
-
-// Sum `from` into `into`, field by field.
-void Accumulate(SessionStats* into, const SessionStats& from) {
-  into->submitted += from.submitted;
-  into->queries += from.queries;
-  into->client_cache_hits += from.client_cache_hits;
-  into->server_cache_hits += from.server_cache_hits;
-  into->tile_hits += from.tile_hits;
-  into->dbms_executions += from.dbms_executions;
-  into->cancelled += from.cancelled;
-  into->errors += from.errors;
-  into->retries += from.retries;
-  into->deadline_exceeded += from.deadline_exceeded;
-  into->shed += from.shed;
-  into->degraded_responses += from.degraded_responses;
-  into->hedged_requests += from.hedged_requests;
-  into->hedge_wins += from.hedge_wins;
-  into->cancelled_mid_flight += from.cancelled_mid_flight;
-  into->bytes_transferred += from.bytes_transferred;
-  into->total_latency_ms += from.total_latency_ms;
+// `ms` from now, but never past `deadline`.
+Clock::time_point WakeAt(double ms, const Deadline& deadline) {
+  const auto delay = std::chrono::duration<double, std::milli>(ms);
+  auto wake = Clock::now() + std::chrono::duration_cast<Clock::duration>(delay);
+  if (deadline && *deadline < wake) wake = *deadline;
+  return wake;
 }
 
 // Sleep for `ms`, but never past `deadline`; the caller re-checks the
 // deadline afterwards.
 void SleepCapped(double ms, const Deadline& deadline) {
-  if (ms <= 0) return;
-  auto wake = std::chrono::steady_clock::now() +
-              std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double, std::milli>(ms));
-  if (deadline && *deadline < wake) wake = *deadline;
-  std::this_thread::sleep_until(wake);
+  if (ms > 0) std::this_thread::sleep_until(WakeAt(ms, deadline));
 }
 
 bool PastDeadline(const Deadline& deadline) {
-  return deadline && std::chrono::steady_clock::now() >= *deadline;
+  return deadline && Clock::now() >= *deadline;
 }
 
 bool IsTransient(const Status& st) {
   return st.IsUnavailable() || st.IsIOError();
 }
 
+// Modeled server time of one engine execution.
+double ExecutionMillis(const sql::ExecStats& stats, const LatencyParams& latency) {
+  const size_t rows = stats.rows_processed + stats.rows_scanned;
+  return ServerComputeMillis(rows, stats.num_operators, latency);
+}
+
+// Capped exponential backoff after failed attempt `attempt`, with
+// deterministic jitter in [1 - j/2, 1 + j/2) drawn per (key, attempt) so
+// replays back off identically.
+double BackoffMs(const RetryPolicy& retry, const std::string& key, size_t attempt) {
+  double backoff = retry.initial_backoff_ms *
+                   std::pow(retry.backoff_multiplier, static_cast<double>(attempt));
+  backoff = std::min(backoff, retry.max_backoff_ms);
+  Rng jitter_rng(HashKey(key) ^ (0x9E3779B97F4A7C15ull * (attempt + 1)));
+  return backoff * (1.0 + retry.jitter * (jitter_rng.NextDouble() - 0.5));
+}
+
+// Runs `f` when the scope exits, whichever way it exits.
+template <typename F>
+class ScopeExit {
+ public:
+  explicit ScopeExit(F f) : f_(std::move(f)) {}
+  ~ScopeExit() { f_(); }
+  ScopeExit(const ScopeExit&) = delete;
+  ScopeExit& operator=(const ScopeExit&) = delete;
+
+ private:
+  F f_;
+};
+
 }  // namespace
+
+SessionStats& SessionStats::operator+=(const SessionStats& other) {
+  submitted += other.submitted;
+  queries += other.queries;
+  client_cache_hits += other.client_cache_hits;
+  server_cache_hits += other.server_cache_hits;
+  tile_hits += other.tile_hits;
+  dbms_executions += other.dbms_executions;
+  cancelled += other.cancelled;
+  errors += other.errors;
+  retries += other.retries;
+  deadline_exceeded += other.deadline_exceeded;
+  shed += other.shed;
+  degraded_responses += other.degraded_responses;
+  hedged_requests += other.hedged_requests;
+  hedge_wins += other.hedge_wins;
+  cancelled_mid_flight += other.cancelled_mid_flight;
+  bytes_transferred += other.bytes_transferred;
+  return *this;
+}
 
 size_t EstimateEncodedBytes(const data::Table& table, bool binary, size_t sample_rows) {
   const size_t n = table.num_rows();
@@ -131,6 +142,115 @@ size_t EstimateEncodedBytes(const data::Table& table, bool binary, size_t sample
                              static_cast<double>(sample_rows));
 }
 
+// ---- Request stages: shared state ----
+
+struct Middleware::Request {
+  Session* session;
+  QueryTicket* ticket;
+  const sql::PreparedStatement* stmt;
+  const std::string& key;
+  Deadline deadline;
+  /// Cooperative cancellation: one token per request, fired by ticket
+  /// cancellation (supersession, client abandon) or by the request deadline.
+  /// The engine polls it at morsel checkpoints, so a fired token reclaims
+  /// the worker within one morsel instead of after the full scan.
+  std::shared_ptr<common::CancelToken> token;
+  /// The statement with its parameters bound; the tile tier, the DBMS and
+  /// the degraded probe all consume it.
+  sql::SelectPtr bound;
+};
+
+// Shared state of one hedged execution race. Ownership protocol: only the
+// *primary* worker decides the race (by finishing first or by claiming the
+// hedge's result); the hedge side only publishes its result. That
+// single-writer rule is what makes the first-success claim race-free.
+class Middleware::HedgeRace {
+ public:
+  HedgeRace(Middleware* owner, double threshold_ms,
+            std::shared_ptr<common::CancelToken> token)
+      : owner_(owner), threshold_ms_(threshold_ms), token_(std::move(token)) {}
+
+  /// Child of the primary's token: the primary abandons a losing hedge
+  /// through it without touching its own cancellation state, while a fired
+  /// parent (superseded ticket) stops both attempts.
+  const std::shared_ptr<common::CancelToken>& token() const { return token_; }
+
+  // ---- Hedge side ----
+
+  /// Wait out the threshold. False when the primary decided first: the
+  /// hedge then never starts.
+  bool AwaitStart() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait_until(lock, WakeAt(threshold_ms_, std::nullopt), [this] { return decided_; });
+    if (!decided_) return true;
+    hedge_done_ = true;
+    cv_.notify_all();
+    return false;
+  }
+
+  void Publish(Result<sql::QueryResult> result, double stall_ms) {
+    std::lock_guard<std::mutex> lock(mu_);
+    stall_ms_ = stall_ms;
+    result_.emplace(std::move(result));
+    hedge_done_ = true;
+    cv_.notify_all();
+  }
+
+  // ---- Primary side ----
+
+  /// First-success claim: if the hedge's result already landed, decide the
+  /// race for it and adopt it as the request's DBMS answer.
+  std::optional<QueryResponse> ClaimWin(const Request& req) {
+    sql::QueryResult won;
+    double stall_ms = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (decided_ || !result_.has_value() || !result_->ok()) return std::nullopt;
+      decided_ = true;
+      won = std::move(**result_);
+      stall_ms = stall_ms_;
+    }
+    // A completed duplicate of the same statement: truthful evidence of
+    // backend health (and it settles any probe admission the stalled
+    // primary still holds).
+    owner_->breaker_->RecordSuccess(req.stmt->canonical_sql);
+    req.session->Bump(&SessionStats::hedge_wins);
+    // The hedge started at the threshold and paid its own injected stall.
+    const double server_ms =
+        threshold_ms_ + stall_ms + ExecutionMillis(won.stats, owner_->options_.latency);
+    return owner_->Respond(won.table, QueryResponse::Source::kDbms, server_ms, /*degraded=*/false);
+  }
+
+  /// An injected stall on the primary is where hedges earn their keep:
+  /// sleep, but wake the moment the hedge finishes instead of serving out
+  /// the full stall.
+  void StallFor(double ms, const Deadline& deadline) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait_until(lock, WakeAt(ms, deadline), [this] { return hedge_done_; });
+  }
+
+  /// Close the race: a hedge still running is abandoned through its token
+  /// and discards its result when it finds the race decided.
+  void Settle() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (decided_) return;
+    decided_ = true;
+    token_->Cancel();
+    cv_.notify_all();
+  }
+
+ private:
+  Middleware* const owner_;
+  const double threshold_ms_;  // delay before the hedge starts
+  const std::shared_ptr<common::CancelToken> token_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool decided_ = false;     // the primary claimed an outcome; the hedge no-ops
+  bool hedge_done_ = false;  // the hedge finished (or declined to start)
+  std::optional<Result<sql::QueryResult>> result_;
+  double stall_ms_ = 0;  // injected stall charged to the hedge attempt
+};
+
 // ---- Session ----
 
 Session::Session(Middleware* owner, uint64_t id, size_t cache_capacity,
@@ -140,25 +260,8 @@ Session::Session(Middleware* owner, uint64_t id, size_t cache_capacity,
       cache_(cache_capacity, cache_max_result_rows, cache_policy),
       stats_block_(std::move(stats_block)) {}
 
-Result<QueryResponse> Session::Execute(const std::string& sql) {
-  // Transient registration: ad-hoc literal-inlined SQL must not pin a
-  // registry entry forever (legacy clients issue unbounded distinct
-  // strings). The transient reference keeps the statement resolvable until
-  // this call's submission finishes, then the entry becomes evictable.
-  auto handle = owner_->PrepareShared(sql, /*pin=*/false);
-  if (!handle.ok()) {
-    return Status(handle.status().code(),
-                  "middleware: " + handle.status().message() + " [" + sql + "]");
-  }
-  QueryRequest request;
-  request.handle = *handle;
-  Result<QueryResponse> response = Submit(request)->Await();
-  owner_->ReleaseTransient(*handle);
-  return response;
-}
-
 Result<PreparedHandle> Session::Prepare(const std::string& sql_template) {
-  return owner_->PrepareShared(sql_template, /*pin=*/true);
+  return owner_->Prepare(sql_template);
 }
 
 QueryTicketPtr Session::Submit(const QueryRequest& request) {
@@ -170,25 +273,18 @@ QueryTicketPtr Session::Submit(const QueryRequest& request) {
   }
   std::string key = Middleware::CacheKeyFor(*stmt, request.params);
   auto ticket = std::make_shared<QueryTicket>(request.generation);
-  {
-    std::lock_guard<std::mutex> lock(stats_block_->mu);
-    ++stats_block_->stats.submitted;
-  }
+  Bump(&SessionStats::submitted);
   // The deadline is anchored at submit time: queue wait, single-flight wait,
   // backoff — everything counts against it.
   Deadline deadline;
-  if (request.deadline_ms > 0) {
-    deadline = std::chrono::steady_clock::now() +
-               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double, std::milli>(request.deadline_ms));
-  }
+  if (request.deadline_ms > 0) deadline = WakeAt(request.deadline_ms, std::nullopt);
 
   // Supersession: a newer generation within the same scope makes the older
-  // in-flight request dead weight — cancel instead of decoding it. Sync
-  // Execute() calls (generation 0) neither supersede nor get superseded.
-  // Claiming the scope's slot is atomic with the generation comparison: if a
-  // concurrent submit with a newer generation won the race, this request is
-  // the superseded one and never runs.
+  // in-flight request dead weight — cancel instead of decoding it. Requests
+  // with generation 0 neither supersede nor get superseded. Claiming the
+  // scope's slot is atomic with the generation comparison: if a concurrent
+  // submit with a newer generation won the race, this request is the
+  // superseded one and never runs.
   if (request.generation > 0) {
     const std::pair<uint64_t, PreparedHandle> scope{request.client_id, request.handle};
     bool superseded_on_arrival = false;
@@ -217,7 +313,7 @@ QueryTicketPtr Session::Submit(const QueryRequest& request) {
     if (displaced) displaced->Cancel();
     if (superseded_on_arrival) {
       ticket->Cancel();
-      owner_->RecordCancelled(this);
+      Bump(&SessionStats::cancelled);
       return ticket;
     }
   }
@@ -230,12 +326,7 @@ QueryTicketPtr Session::Submit(const QueryRequest& request) {
     response.latency_millis = 0.05;
     response.bytes = 0;
     response.source = QueryResponse::Source::kClientCache;
-    if (ticket->CommitDelivery()) {
-      owner_->RecordCompletion(this, response);
-    } else {
-      owner_->RecordCancelled(this);
-    }
-    ticket->Deliver(std::move(response));
+    Resolve(*ticket, std::move(response));
     return ticket;
   }
 
@@ -267,23 +358,64 @@ QueryTicketPtr Session::Submit(const QueryRequest& request) {
       // Bounded queue full: refuse now rather than queue a result the
       // client will receive long after it stopped caring.
       queued_.fetch_sub(1, std::memory_order_relaxed);
-      if (ticket->CommitDelivery()) {
-        owner_->RecordShed(this);
-      } else {
-        owner_->RecordCancelled(this);
-      }
-      ticket->Deliver(
-          Status::Unavailable("middleware overloaded: request shed"));
+      Resolve(*ticket, Status::Unavailable("middleware overloaded: request shed"), /*shed=*/true);
       break;
     case WorkerPool::Admission::kShutdown:
       // Pool already shutting down: no worker will ever run the task, so the
       // ticket must resolve here — otherwise Await would hang forever.
       queued_.fetch_sub(1, std::memory_order_relaxed);
       ticket->Cancel();
-      owner_->RecordCancelled(this);
+      Bump(&SessionStats::cancelled);
       break;
   }
   return ticket;
+}
+
+// Stats are recorded once, into the session's shared block; fleet totals
+// are computed on read by summing live blocks plus the retired accumulator.
+// dbms_executions is counted at execution time (the work happened even when
+// the delivery is later turned into a cancellation), so a completion only
+// attributes the tier that delivered it.
+void Session::Resolve(QueryTicket& ticket, Result<QueryResponse> result, bool shed) {
+  const bool delivered = ticket.CommitDelivery();
+  {
+    std::lock_guard<std::mutex> lock(stats_block_->mu);
+    SessionStats& stats = stats_block_->stats;
+    if (!delivered) {
+      ++stats.cancelled;
+    } else if (!result.ok()) {
+      // Shed and expired requests are errors (the client got a failure
+      // status); their own counters attribute the cause.
+      ++stats.errors;
+      if (shed) ++stats.shed;
+      if (result.status().IsDeadlineExceeded()) ++stats.deadline_exceeded;
+    } else {
+      ++stats.queries;
+      switch (result->source) {
+        case QueryResponse::Source::kClientCache:
+          ++stats.client_cache_hits;
+          break;
+        case QueryResponse::Source::kServerCache:
+          ++stats.server_cache_hits;
+          break;
+        case QueryResponse::Source::kTileStore:
+          ++stats.tile_hits;
+          break;
+        case QueryResponse::Source::kStaleCache:
+          break;  // attributed via degraded_responses below
+        case QueryResponse::Source::kDbms:
+          break;  // counted at execution time
+      }
+      if (result->degraded) ++stats.degraded_responses;
+      stats.bytes_transferred += result->bytes;
+    }
+  }
+  ticket.Deliver(std::move(result));
+}
+
+void Session::Bump(size_t SessionStats::*counter) {
+  std::lock_guard<std::mutex> lock(stats_block_->mu);
+  ++(stats_block_->stats.*counter);
 }
 
 Session::Stats Session::stats() const {
@@ -324,13 +456,6 @@ Middleware::Middleware(const sql::Engine* engine, MiddlewareOptions options)
   if (options_.fault_injection.has_value()) {
     fault_injector_ = std::make_unique<FaultInjector>(*options_.fault_injection);
   }
-  // Storage counters are process-wide; rebase on construction so this
-  // middleware reports only its own lifetime's activity.
-  storage_chunks_pruned_baseline_ = storage::ChunksPruned();
-  storage_morsels_pruned_baseline_ = storage::MorselsPruned();
-  storage_chunks_paged_in_baseline_ = storage::ChunksPagedIn();
-  kernel_bitmap_selections_baseline_ = kernels::BitmapSelections();
-  kernel_index_selections_baseline_ = kernels::IndexSelections();
   default_session_ = CreateSession();
 }
 
@@ -354,48 +479,29 @@ std::shared_ptr<Session> Middleware::CreateSession() {
   return session;
 }
 
-Result<QueryResponse> Middleware::Execute(const std::string& sql) {
-  return default_session_->Execute(sql);
-}
-
-Result<PreparedHandle> Middleware::Prepare(const std::string& sql_template) {
-  return PrepareShared(sql_template, /*pin=*/true);
-}
-
 QueryTicketPtr Middleware::Submit(const QueryRequest& request) {
   return default_session_->Submit(request);
 }
 
-Result<PreparedHandle> Middleware::PrepareShared(const std::string& sql_template,
-                                                 bool pin) {
+Result<PreparedHandle> Middleware::Prepare(const std::string& sql_template) {
   // Parse outside the lock; dedupe on the canonical (formatting-insensitive)
   // form so equivalent templates share one statement and one cache keyspace.
   VP_ASSIGN_OR_RETURN(sql::PreparedPtr stmt, sql::PrepareStatement(sql_template));
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_canonical_.find(stmt->canonical_sql);
   if (it != by_canonical_.end()) {
+    // Pins stack: deduped Prepares from independent clients each hold one,
+    // so no single Release can strand the others.
     StatementEntry& entry = statements_[it->second];
-    if (pin) {
-      // Pins stack: deduped Prepares from independent clients each hold
-      // one, so no single Release can strand the others.
-      if (entry.pin_count++ == 0) {
-        statement_lru_.erase(entry.lru_it);  // pinned: not a victim
-      }
-    } else if (entry.pin_count == 0) {
-      statement_lru_.splice(statement_lru_.begin(), statement_lru_, entry.lru_it);
+    if (entry.pin_count++ == 0) {
+      statement_lru_.erase(entry.lru_it);  // pinned: not a victim
     }
-    if (!pin) ++entry.transient_uses;
     return it->second;
   }
   const PreparedHandle handle = next_handle_++;
   StatementEntry entry;
   entry.stmt = std::move(stmt);
-  entry.pin_count = pin ? 1 : 0;
-  entry.transient_uses = pin ? 0 : 1;
-  if (!pin) {
-    statement_lru_.push_front(handle);
-    entry.lru_it = statement_lru_.begin();
-  }
+  entry.pin_count = 1;
   by_canonical_.emplace(entry.stmt->canonical_sql, handle);
   statements_.emplace(handle, std::move(entry));
   ++prepared_statements_created_;
@@ -408,37 +514,24 @@ void Middleware::Release(PreparedHandle handle) {
   auto it = statements_.find(handle);
   if (it == statements_.end() || it->second.pin_count == 0) return;
   if (--it->second.pin_count > 0) return;  // other Prepare holders remain
-  // Most-recently-used position: the statement was live until just now, so
-  // it outlasts colder ad-hoc churn before becoming a victim.
+  // Most-recently-released position: the statement was live until just
+  // now, so it outlasts colder released templates before becoming a victim.
   statement_lru_.push_front(handle);
   it->second.lru_it = statement_lru_.begin();
   EvictStatementsLocked();
 }
 
-void Middleware::ReleaseTransient(PreparedHandle handle) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = statements_.find(handle);
-  if (it == statements_.end()) return;
-  if (it->second.transient_uses > 0) --it->second.transient_uses;
-  EvictStatementsLocked();
-}
-
-// LRU eviction of unreferenced canonical statements, walking the order list
-// from its cold end. Pinned entries (public Prepare handles, finitely many
-// templates by design) are not in the list at all, and entries with an
-// in-flight transient use are skipped, so live handles keep resolving;
-// everything else — the ad-hoc Execute churn — is bounded by the cap.
+// LRU eviction of unpinned canonical statements from the order list's cold
+// end. Pinned entries (live Prepare handles) are not in the list at all, so
+// they keep resolving; in-flight requests hold their statement already.
 void Middleware::EvictStatementsLocked() {
   const size_t cap = options_.max_prepared_statements;
   if (cap == 0) return;
-  auto it = statement_lru_.end();
-  while (statements_.size() > cap && it != statement_lru_.begin()) {
-    --it;
-    auto entry = statements_.find(*it);
-    if (entry->second.transient_uses > 0) continue;  // in flight: skip
+  while (statements_.size() > cap && !statement_lru_.empty()) {
+    auto entry = statements_.find(statement_lru_.back());
     by_canonical_.erase(entry->second.stmt->canonical_sql);
     statements_.erase(entry);
-    it = statement_lru_.erase(it);  // next loop steps back past the gap
+    statement_lru_.pop_back();
   }
 }
 
@@ -490,9 +583,7 @@ std::string Middleware::CacheKeyFor(const sql::PreparedStatement& stmt,
 // at our pool sizes since duplicates collapse within one wave; a per-key
 // waiter list resolved in the leader's epilogue would free the thread if
 // pools grow large.
-bool Middleware::EnterInFlight(const std::string& key,
-                               std::optional<std::chrono::steady_clock::time_point>
-                                   deadline) {
+bool Middleware::EnterInFlight(const std::string& key, Deadline deadline) {
   std::unique_lock<std::mutex> lock(flight_mu_);
   const auto free = [&] { return in_flight_.count(key) == 0; };
   if (deadline) {
@@ -512,403 +603,262 @@ void Middleware::LeaveInFlight(const std::string& key) {
   flight_cv_.notify_all();
 }
 
+// ---- The request path ----
+
 void Middleware::RunQueryTask(std::shared_ptr<Session> session, QueryTicketPtr ticket,
                               sql::PreparedPtr stmt, std::vector<QueryParam> params,
                               std::string key, Deadline deadline) {
   if (!ticket->BeginExecution()) {
     // Cancelled while queued: the ticket already resolved to Cancelled.
-    RecordCancelled(session.get());
+    session->Bump(&SessionStats::cancelled);
     return;
   }
-
-  // Cooperative cancellation: one token per request, fired by ticket
-  // cancellation (supersession, client abandon) or by the request deadline.
-  // The engine polls it at morsel checkpoints, so a fired token reclaims
-  // this worker within one morsel instead of after the full scan.
-  std::shared_ptr<common::CancelToken> token;
-  if (engine_config_.cooperative_cancel) {
-    token = deadline.has_value()
-                ? std::make_shared<common::CancelToken>(*deadline)
-                : std::make_shared<common::CancelToken>();
-    ticket->LinkCancel(token);
-  }
-
-  auto deliver_error = [&](const Status& st) {
-    if (ticket->CommitDelivery()) {
-      RecordError(session.get(), st);
-    } else {
-      RecordCancelled(session.get());
-    }
-    ticket->Deliver(Status(st.code(), "middleware: " + st.message() + " [" +
-                                          stmt->canonical_sql + "]"));
-  };
+  Request req{session.get(), ticket.get(), stmt.get(), key, deadline, nullptr, nullptr};
+  req.token = deadline ? std::make_shared<common::CancelToken>(*deadline)
+                       : std::make_shared<common::CancelToken>();
+  ticket->LinkCancel(req.token);
 
   // Bind first: a malformed request fails fast without claiming the
-  // single-flight slot or touching the fault machinery. The tile probe and
-  // the DBMS both consume the bound AST, so parameter resolution cost (and
-  // errors) are shared. Splitting ExecuteBound into Bind + Execute is
-  // behavior-preserving: that is exactly its implementation.
+  // single-flight slot or touching the fault machinery, and no degraded
+  // answer may mask it.
   rewrite::ParamResolver resolver(params);
-  auto bound = sql::BindStatement(*stmt->stmt, resolver);
-  if (!bound.ok()) {
-    deliver_error(bound.status());
-    return;
+  Result<sql::SelectPtr> bound = sql::BindStatement(*stmt->stmt, resolver);
+  if (bound.ok()) req.bound = *bound;
+  Result<QueryResponse> result =
+      bound.ok() ? Degrade(req, ServeShared(req)) : Result<QueryResponse>(bound.status());
+  if (!result.ok()) {
+    const Status& st = result.status();
+    result = Status(st.code(), "middleware: " + st.message() + " [" + stmt->canonical_sql + "]");
   }
+  session->Resolve(*ticket, std::move(result));
+}
 
-  auto deliver_response = [&](QueryResponse resp) {
-    if (ticket->CommitDelivery()) {
-      RecordCompletion(session.get(), resp);
-    } else {
-      RecordCancelled(session.get());
-    }
-    ticket->Deliver(std::move(resp));
-  };
-
-  // Degraded fallback for every "fresh execution impossible" exit: an
-  // archived stale result for this exact key, else the same shape answered
-  // from a coarser already-built tile level. False = nothing servable.
-  auto deliver_degraded = [&]() -> bool {
-    if (!options_.enable_degraded_serving) return false;
-    QueryResponse resp;
-    resp.degraded = true;
-    bool have_stale;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      have_stale = stale_cache_.Get(key, &resp.table);
-    }
-    if (have_stale) {
-      resp.bytes = EstimateEncodedBytes(*resp.table, options_.binary_encoding);
-      // No server compute: the archived bytes just cross the wire.
-      resp.latency_millis =
-          TransferMillis(resp.bytes, options_.binary_encoding, options_.latency);
-      resp.source = QueryResponse::Source::kStaleCache;
-    } else {
-      if (tile_store_ == nullptr) return false;
-      std::optional<tiles::TileAnswer> tile = tile_store_->TryAnswerCoarser(**bound);
-      if (!tile.has_value()) return false;
-      resp.table = tile->table;
-      resp.bytes = EstimateEncodedBytes(*resp.table, options_.binary_encoding);
-      resp.latency_millis =
-          ServerComputeMillis(tile->bins_touched, 1, options_.latency) +
-          TransferMillis(resp.bytes, options_.binary_encoding, options_.latency);
-      resp.source = QueryResponse::Source::kTileStore;
-    }
-    deliver_response(std::move(resp));
-    return true;
-  };
-
-  // Single-flight: identical concurrent queries execute once; followers wait
-  // and then resolve from the cache the leader filled.
-  if (!EnterInFlight(key, deadline)) {
+// Single-flight: identical concurrent queries execute once; followers wait
+// and then resolve from the cache the leader filled. Every exit leaves the
+// slot.
+Result<QueryResponse> Middleware::ServeShared(Request& req) {
+  if (!EnterInFlight(req.key, req.deadline)) {
     // Deadline expired while parked behind the leader.
-    if (!deliver_degraded()) {
-      deliver_error(Status::DeadlineExceeded("deadline expired awaiting execution"));
-    }
-    return;
+    return Status::DeadlineExceeded("deadline expired awaiting execution");
   }
+  ScopeExit leave([&] { LeaveInFlight(req.key); });
 
   // Note: a same-session duplicate that completed while this task was
   // queued resolves through the *server* cache below, not the session
   // cache — at submit time the client did not have the result, so the
   // modeled system still pays the round trip and transfer.
-  QueryResponse response;
-  bool from_dbms = false;
-  bool server_hit;
+  data::TablePtr cached;
+  bool server_hit = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    server_hit = server_cache_.Get(key, &response.table);
+    server_hit = server_cache_.Get(req.key, &cached);
   }
   if (server_hit) {
-    response.bytes = EstimateEncodedBytes(*response.table, options_.binary_encoding);
-    response.latency_millis =
-        TransferMillis(response.bytes, options_.binary_encoding, options_.latency);
-    response.source = QueryResponse::Source::kServerCache;
-  } else {
-    if (PastDeadline(deadline)) {
-      // The deadline gates *starting* backend work; a result that exists
-      // already (cache tiers above, degraded below) is still fair game.
-      LeaveInFlight(key);
-      if (!deliver_degraded()) {
-        deliver_error(Status::DeadlineExceeded("deadline expired before execution"));
-      }
-      return;
-    }
-    std::optional<tiles::TileAnswer> tile;
-    if (tile_store_ != nullptr) tile = tile_store_->TryAnswer(**bound, token.get());
-    if (tile.has_value()) {
-      // Served from the precomputed aggregation tree: the server touches
-      // `bins_touched` slots instead of scanning base rows.
-      response.table = tile->table;
-      response.bytes = EstimateEncodedBytes(*response.table, options_.binary_encoding);
-      response.latency_millis =
-          ServerComputeMillis(tile->bins_touched, 1, options_.latency) +
-          TransferMillis(response.bytes, options_.binary_encoding, options_.latency);
-      response.source = QueryResponse::Source::kTileStore;
-    } else {
-      // ---- DBMS execution: retry transient failures under the breaker ----
-      const std::string& scope = stmt->canonical_sql;
-      const size_t max_attempts = std::max<size_t>(1, options_.retry.max_attempts);
-      double fault_latency_ms = 0;  // injected stalls, charged as server time
-      Status failure;
-      bool degradable = false;  // only transient/deadline failures may degrade
-
-      // Hedged request: past the statement's observed tail threshold, launch
-      // one duplicate attempt on another worker and take the first success.
-      // TrySubmit only — under queue saturation the hedge is shed rather
-      // than amplifying the overload. The hedge bypasses single-flight by
-      // design: it *is* the deliberate duplicate.
-      std::shared_ptr<HedgeRace> race;
-      const double hedge_threshold_ms = HedgeThresholdMs(scope);
-      if (hedge_threshold_ms >= 0) {
-        race = std::make_shared<HedgeRace>();
-        race->threshold_ms = hedge_threshold_ms;
-        if (token != nullptr) {
-          race->hedge_token =
-              std::make_shared<common::CancelToken>(token, deadline);
-        }
-        auto hedge_task = [this, race, bound_stmt = *bound,
-                           hedge_key = HedgeInjectorKey(key), deadline]() {
-          {
-            std::unique_lock<std::mutex> lk(race->mu);
-            const auto start_at =
-                std::chrono::steady_clock::now() +
-                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(race->threshold_ms));
-            race->cv.wait_until(lk, start_at, [&] { return race->decided; });
-            if (race->decided) {  // primary finished inside the threshold
-              race->hedge_done = true;
-              race->cv.notify_all();
-              return;
-            }
-            race->hedge_started = true;
-          }
-          Status injected;
-          double stall_ms = 0;
-          if (fault_injector_ != nullptr) {
-            FaultDecision fate = fault_injector_->OnDbmsExecute(hedge_key);
-            if (fate.stall_ms > 0) {
-              stall_ms = fate.stall_ms;
-              SleepCapped(fate.stall_ms, deadline);
-            }
-            if (fate.fail) injected = fate.status;
-          }
-          common::QueryContext hedge_ctx{race->hedge_token};
-          Result<sql::QueryResult> r =
-              !injected.ok()
-                  ? Result<sql::QueryResult>(injected)
-                  : engine_->Execute(*bound_stmt,
-                                     race->hedge_token ? &hedge_ctx : nullptr);
-          std::lock_guard<std::mutex> lk(race->mu);
-          race->hedge_fault_ms = stall_ms;
-          race->hedge_result.emplace(std::move(r));
-          race->hedge_done = true;
-          race->cv.notify_all();
-        };
-        if (pool_->TrySubmit(std::move(hedge_task)) ==
-            WorkerPool::Admission::kAccepted) {
-          RecordHedgeLaunched(session.get());
-        } else {
-          race.reset();  // pool saturated or shutting down: no hedge
-        }
-      }
-
-      // First-success claim: adopt the hedge's result if it already landed.
-      // Only the primary sets `decided`, so the claim cannot be contested.
-      auto claim_hedge_win = [&]() -> std::optional<sql::QueryResult> {
-        if (race == nullptr) return std::nullopt;
-        std::lock_guard<std::mutex> lk(race->mu);
-        if (race->decided || !race->hedge_done ||
-            !race->hedge_result.has_value() || !race->hedge_result->ok()) {
-          return std::nullopt;
-        }
-        race->decided = true;
-        return std::move(**race->hedge_result);
-      };
-      auto adopt_hedge = [&](sql::QueryResult won) {
-        // A completed duplicate of the same statement: truthful evidence of
-        // backend health (and it settles any probe admission the stalled
-        // primary still holds).
-        breaker_->RecordSuccess(scope);
-        from_dbms = true;
-        RecordHedgeWin(session.get());
-        response.table = won.table;
-        response.bytes =
-            EstimateEncodedBytes(*response.table, options_.binary_encoding);
-        response.latency_millis =
-            race->threshold_ms + race->hedge_fault_ms +
-            ServerComputeMillis(won.stats.rows_processed + won.stats.rows_scanned,
-                                won.stats.num_operators, options_.latency) +
-            TransferMillis(response.bytes, options_.binary_encoding, options_.latency);
-        response.source = QueryResponse::Source::kDbms;
-      };
-      // Close the race on every exit: a hedge still running is abandoned
-      // through its token and discards its result when it finds `decided`.
-      auto settle_race = [&]() {
-        if (race == nullptr) return;
-        std::lock_guard<std::mutex> lk(race->mu);
-        if (!race->decided) {
-          race->decided = true;
-          if (race->hedge_token) race->hedge_token->Cancel();
-          race->cv.notify_all();
-        }
-      };
-      // An injected stall on the primary is where hedges earn their keep:
-      // sleep, but wake the moment the hedge finishes instead of serving
-      // out the full stall.
-      auto stall_for = [&](double ms) {
-        if (race == nullptr) {
-          SleepCapped(ms, deadline);
-          return;
-        }
-        auto wake = std::chrono::steady_clock::now() +
-                    std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double, std::milli>(ms));
-        if (deadline && *deadline < wake) wake = *deadline;
-        std::unique_lock<std::mutex> lk(race->mu);
-        race->cv.wait_until(lk, wake, [&] { return race->hedge_done; });
-      };
-
-      for (size_t attempt = 0;; ++attempt) {
-        if (auto won = claim_hedge_win()) {
-          adopt_hedge(std::move(*won));
-          break;
-        }
-        bool admitted_as_probe = false;
-        if (!breaker_->Admit(scope, &admitted_as_probe)) {
-          // Fast fail: a known-dead statement should not burn this worker.
-          failure = Status::Unavailable("circuit breaker open for statement");
-          degradable = true;
-          break;
-        }
-        if (options_.before_dbms_execute) options_.before_dbms_execute(key);
-        Status injected;  // ok unless the injector fails this attempt
-        if (fault_injector_ != nullptr) {
-          FaultDecision fate = fault_injector_->OnDbmsExecute(key);
-          if (fate.stall_ms > 0) {
-            // Real sleep capped at the deadline; the *full* stall is still
-            // charged as simulated latency (the modeled backend was slow).
-            fault_latency_ms += fate.stall_ms;
-            stall_for(fate.stall_ms);
-          }
-          if (fate.fail) injected = fate.status;
-        }
-        if (auto won = claim_hedge_win()) {
-          adopt_hedge(std::move(*won));  // RecordSuccess settles the probe
-          break;
-        }
-        if (PastDeadline(deadline)) {
-          // No outcome will ever be recorded for this admission; a held
-          // half-open probe slot must be released or the breaker wedges.
-          if (admitted_as_probe) breaker_->AbandonProbe(scope);
-          failure = Status::DeadlineExceeded("deadline expired before DBMS execution");
-          degradable = true;
-          break;
-        }
-        common::QueryContext qctx{token};
-        Result<sql::QueryResult> result =
-            injected.ok()
-                ? engine_->Execute(**bound, token != nullptr ? &qctx : nullptr)
-                : Result<sql::QueryResult>(injected);
-        if (result.ok()) {
-          breaker_->RecordSuccess(scope);
-          from_dbms = true;
-          response.table = result->table;
-          response.bytes =
-              EstimateEncodedBytes(*response.table, options_.binary_encoding);
-          response.latency_millis =
-              ServerComputeMillis(result->stats.rows_processed + result->stats.rows_scanned,
-                                  result->stats.num_operators, options_.latency) +
-              fault_latency_ms +
-              TransferMillis(response.bytes, options_.binary_encoding, options_.latency);
-          response.source = QueryResponse::Source::kDbms;
-          break;
-        }
-        const Status& st = result.status();
-        if (st.IsCancelled() || st.IsDeadlineExceeded()) {
-          // Cooperative abort at a morsel checkpoint: the engine stopped
-          // because *this request* was cancelled or out of time, which says
-          // nothing about backend health — release any probe slot, never
-          // record a breaker failure, never retry. Only the deadline flavor
-          // may degrade: an explicit cancel means nobody wants any answer.
-          if (admitted_as_probe) breaker_->AbandonProbe(scope);
-          RecordCancelledMidFlight(session.get());
-          failure = st;
-          degradable = st.IsDeadlineExceeded();
-          break;
-        }
-        if (!IsTransient(st)) {
-          // Logic error (parse/type/plan): retrying cannot help, and a
-          // degraded response would mask a real bug. Surface it as-is. It
-          // says nothing about backend health either way, so a probe that
-          // drew one releases its slot instead of recording an outcome.
-          if (admitted_as_probe) breaker_->AbandonProbe(scope);
-          failure = st;
-          break;
-        }
-        breaker_->RecordFailure(scope);
-        if (ticket->cancel_requested()) {
-          // Superseded mid-retry: the result is dead weight; never re-spend.
-          failure = st;
-          break;
-        }
-        if (attempt + 1 >= max_attempts) {
-          failure = st;
-          degradable = true;
-          break;
-        }
-        double backoff = options_.retry.initial_backoff_ms *
-                         std::pow(options_.retry.backoff_multiplier,
-                                  static_cast<double>(attempt));
-        backoff = std::min(backoff, options_.retry.max_backoff_ms);
-        // Deterministic jitter in [1 - j/2, 1 + j/2), drawn per (key,
-        // attempt) so replays back off identically.
-        Rng jitter_rng(HashKey(key) ^ (0x9E3779B97F4A7C15ull * (attempt + 1)));
-        backoff *= 1.0 + options_.retry.jitter * (jitter_rng.NextDouble() - 0.5);
-        RecordRetry(session.get());
-        SleepCapped(backoff, deadline);
-        if (PastDeadline(deadline)) {
-          failure = Status::DeadlineExceeded("deadline expired during retry backoff");
-          degradable = true;
-          break;
-        }
-      }
-      if (!from_dbms) {
-        // Last look before giving up: a hedge that finished while the
-        // primary was failing is a completed result — deliver it, don't
-        // waste it.
-        if (auto won = claim_hedge_win()) adopt_hedge(std::move(*won));
-      }
-      settle_race();
-      if (!from_dbms) {
-        LeaveInFlight(key);
-        if (!degradable || !deliver_degraded()) deliver_error(failure);
-        return;
-      }
-      RecordDbmsLatency(scope, response.latency_millis);
-    }
+    req.session->CachePut(req.key, cached);
+    return Respond(std::move(cached), QueryResponse::Source::kServerCache, 0, /*degraded=*/false);
+  }
+  if (PastDeadline(req.deadline)) {
+    // The deadline gates *starting* backend work; a result that exists
+    // already (cache tiers above, degraded below) is still fair game.
+    return Status::DeadlineExceeded("deadline expired before execution");
+  }
+  std::optional<QueryResponse> tile = ProbeTiles(req);
+  Result<QueryResponse> fresh =
+      tile.has_value() ? Result<QueryResponse>(std::move(*tile)) : RunAttempts(req);
+  if (fresh.ok()) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      server_cache_.Put(key, response.table);
+      server_cache_.Put(req.key, fresh->table);
       // Archive for degraded serving; unlike the tier above this copy is
       // served (marked stale) even after ClearCaches or under outage.
-      stale_cache_.Put(key, response.table);
+      stale_cache_.Put(req.key, fresh->table);
     }
+    req.session->CachePut(req.key, fresh->table);
   }
-  session->CachePut(key, response.table);
-  LeaveInFlight(key);
-
-  if (from_dbms) {
-    std::lock_guard<std::mutex> lock(session->stats_block_->mu);
-    ++session->stats_block_->stats.dbms_executions;
-  }
-  deliver_response(std::move(response));
+  return fresh;
 }
 
-// Stats are recorded once, into the owning session's shared block; fleet
-// totals are computed on read by summing live blocks plus the retired
-// accumulator. dbms_executions is counted at execution time in RunQueryTask
-// (the work happened even when the delivery is later turned into a
-// cancellation), so completion recording only attributes the delivery tier.
+std::optional<QueryResponse> Middleware::ProbeTiles(const Request& req) {
+  if (tile_store_ == nullptr) return std::nullopt;
+  std::optional<tiles::TileAnswer> tile = tile_store_->TryAnswer(*req.bound, req.token.get());
+  if (!tile.has_value()) return std::nullopt;
+  // Served from the precomputed aggregation tree: the server touches
+  // `bins_touched` slots instead of scanning base rows.
+  const double server_ms = ServerComputeMillis(tile->bins_touched, 1, options_.latency);
+  return Respond(tile->table, QueryResponse::Source::kTileStore, server_ms, /*degraded=*/false);
+}
+
+// The DBMS attempts. Measured wall-clock time from the first attempt to the
+// answer (a hedge win included) feeds the statement's hedge threshold:
+// timers wait on measured time; modeled time is only reported.
+Result<QueryResponse> Middleware::RunAttempts(Request& req) {
+  const auto started = Clock::now();
+  std::shared_ptr<HedgeRace> race = LaunchHedge(req);
+  ScopeExit settle([&race] { if (race != nullptr) race->Settle(); });
+  Result<QueryResponse> result = AttemptLoop(req, race.get());
+  if (!result.ok() && race != nullptr) {
+    // Last look before giving up: a hedge that finished while the primary
+    // was failing is a completed result — deliver it, don't waste it.
+    if (std::optional<QueryResponse> won = race->ClaimWin(req)) result = std::move(*won);
+  }
+  if (result.ok()) {
+    const std::chrono::duration<double, std::milli> measured = Clock::now() - started;
+    RecordDbmsLatency(req.stmt->canonical_sql, measured.count());
+    req.session->Bump(&SessionStats::dbms_executions);
+  }
+  return result;
+}
+
+// Retry transient failures under the breaker, adopting the hedge's answer
+// the moment it lands.
+Result<QueryResponse> Middleware::AttemptLoop(Request& req, HedgeRace* race) {
+  const std::string& scope = req.stmt->canonical_sql;
+  const size_t max_attempts = std::max<size_t>(1, options_.retry.max_attempts);
+  double stall_ms = 0;  // injected stalls, charged as server time
+  for (size_t attempt = 0;; ++attempt) {
+    if (race != nullptr) {
+      if (std::optional<QueryResponse> won = race->ClaimWin(req)) return std::move(*won);
+    }
+    bool admitted_as_probe = false;
+    if (!breaker_->Admit(scope, &admitted_as_probe)) {
+      // Fast fail: a known-dead statement should not burn this worker.
+      return Status::Unavailable("circuit breaker open for statement");
+    }
+    if (options_.before_dbms_execute) options_.before_dbms_execute(req.key);
+    const Status injected = InjectFault(req.key, req.deadline, race, &stall_ms);
+    if (race != nullptr) {
+      // The hedge's RecordSuccess settles this attempt's probe admission.
+      if (std::optional<QueryResponse> won = race->ClaimWin(req)) return std::move(*won);
+    }
+    if (PastDeadline(req.deadline)) {
+      // No outcome will ever be recorded for this admission; a held
+      // half-open probe slot must be released or the breaker wedges.
+      if (admitted_as_probe) breaker_->AbandonProbe(scope);
+      return Status::DeadlineExceeded("deadline expired before DBMS execution");
+    }
+    common::QueryContext ctx{req.token};
+    Result<sql::QueryResult> result =
+        injected.ok() ? engine_->Execute(*req.bound, &ctx) : Result<sql::QueryResult>(injected);
+    if (result.ok()) {
+      breaker_->RecordSuccess(scope);
+      const double server_ms = ExecutionMillis(result->stats, options_.latency) + stall_ms;
+      return Respond(result->table, QueryResponse::Source::kDbms, server_ms, /*degraded=*/false);
+    }
+    const Status& st = result.status();
+    if (st.IsCancelled() || st.IsDeadlineExceeded()) {
+      // Cooperative abort at a morsel checkpoint: the engine stopped
+      // because *this request* was cancelled or out of time, which says
+      // nothing about backend health — release any probe slot, never
+      // record a breaker failure, never retry. Only the deadline flavor
+      // may degrade: an explicit cancel means nobody wants any answer.
+      if (admitted_as_probe) breaker_->AbandonProbe(scope);
+      req.session->Bump(&SessionStats::cancelled_mid_flight);
+      return st;
+    }
+    if (!IsTransient(st)) {
+      // Logic error (parse/type/plan): retrying cannot help, and a
+      // degraded response would mask a real bug. Surface it as-is. It
+      // says nothing about backend health either way, so a probe that
+      // drew one releases its slot instead of recording an outcome.
+      if (admitted_as_probe) breaker_->AbandonProbe(scope);
+      return st;
+    }
+    breaker_->RecordFailure(scope);
+    // Out of attempts, or superseded mid-retry: a result nobody awaits is
+    // dead weight, never worth another attempt.
+    if (req.ticket->cancel_requested() || attempt + 1 >= max_attempts) return st;
+    req.session->Bump(&SessionStats::retries);
+    SleepCapped(BackoffMs(options_.retry, req.key, attempt), req.deadline);
+    if (PastDeadline(req.deadline)) {
+      return Status::DeadlineExceeded("deadline expired during retry backoff");
+    }
+  }
+}
+
+// Hedged request: past the statement's observed tail threshold, launch one
+// duplicate attempt on another worker and take the first success. TrySubmit
+// only — under queue saturation the hedge is shed rather than amplifying
+// the overload. The hedge bypasses single-flight by design: it *is* the
+// deliberate duplicate.
+std::shared_ptr<Middleware::HedgeRace> Middleware::LaunchHedge(const Request& req) {
+  const double threshold_ms = HedgeThresholdMs(req.stmt->canonical_sql);
+  if (threshold_ms < 0) return nullptr;
+  auto race = std::make_shared<HedgeRace>(
+      this, threshold_ms, std::make_shared<common::CancelToken>(req.token, req.deadline));
+  auto hedge = [this, race, stmt = req.bound, key = HedgeInjectorKey(req.key),
+                deadline = req.deadline] {
+    if (!race->AwaitStart()) return;  // the primary finished inside the threshold
+    double stall_ms = 0;
+    const Status injected = InjectFault(key, deadline, nullptr, &stall_ms);
+    common::QueryContext ctx{race->token()};
+    Result<sql::QueryResult> result =
+        injected.ok() ? engine_->Execute(*stmt, &ctx) : Result<sql::QueryResult>(injected);
+    race->Publish(std::move(result), stall_ms);
+  };
+  if (pool_->TrySubmit(std::move(hedge)) != WorkerPool::Admission::kAccepted) {
+    return nullptr;  // pool saturated or shutting down: no hedge
+  }
+  req.session->Bump(&SessionStats::hedged_requests);
+  return race;
+}
+
+// Degraded fallback for a failure of fresh execution — a transient backend
+// error, an open breaker, an expired deadline: an archived stale result for
+// this exact key, else the same shape answered from a coarser already-built
+// tile level. Logic errors surface as-is, and a cancelled request wants no
+// answer at all.
+Result<QueryResponse> Middleware::Degrade(const Request& req, Result<QueryResponse> result) {
+  if (result.ok() || !options_.enable_degraded_serving) return result;
+  const Status& st = result.status();
+  if ((!IsTransient(st) && !st.IsDeadlineExceeded()) || req.ticket->cancel_requested()) {
+    return result;
+  }
+  data::TablePtr stale;
+  bool have_stale = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    have_stale = stale_cache_.Get(req.key, &stale);
+  }
+  if (have_stale) {
+    // No server compute: the archived bytes just cross the wire.
+    return Respond(std::move(stale), QueryResponse::Source::kStaleCache, 0, /*degraded=*/true);
+  }
+  if (tile_store_ == nullptr) return result;
+  std::optional<tiles::TileAnswer> tile = tile_store_->TryAnswerCoarser(*req.bound);
+  if (!tile.has_value()) return result;
+  const double server_ms = ServerComputeMillis(tile->bins_touched, 1, options_.latency);
+  return Respond(tile->table, QueryResponse::Source::kTileStore, server_ms, /*degraded=*/true);
+}
+
+QueryResponse Middleware::Respond(data::TablePtr table, QueryResponse::Source source,
+                                  double server_ms, bool degraded) const {
+  QueryResponse response;
+  response.bytes = EstimateEncodedBytes(*table, options_.binary_encoding);
+  response.latency_millis =
+      server_ms + TransferMillis(response.bytes, options_.binary_encoding, options_.latency);
+  response.table = std::move(table);
+  response.source = source;
+  response.degraded = degraded;
+  return response;
+}
+
+Status Middleware::InjectFault(const std::string& key, const Deadline& deadline,
+                               HedgeRace* race, double* stall_ms) const {
+  if (fault_injector_ == nullptr) return Status::OK();
+  FaultDecision fate = fault_injector_->OnDbmsExecute(key);
+  if (fate.stall_ms > 0) {
+    // Real sleep capped at the deadline; the *full* stall is still charged
+    // as simulated latency (the modeled backend was slow).
+    *stall_ms += fate.stall_ms;
+    if (race != nullptr) {
+      race->StallFor(fate.stall_ms, deadline);
+    } else {
+      SleepCapped(fate.stall_ms, deadline);
+    }
+  }
+  return fate.fail ? fate.status : Status::OK();
+}
+
 // At a saturated queue the shed should land on whoever is flooding it. A
 // session bypasses the bound iff some *other* live session has strictly more
 // tasks queued — the strict compare makes the heaviest (and every session
@@ -927,71 +877,6 @@ bool Middleware::ShouldBypassQueueBound(const Session* session) const {
     if (other->queued() > mine) return true;
   }
   return false;
-}
-
-void Middleware::RecordCompletion(Session* session, const QueryResponse& response) {
-  std::lock_guard<std::mutex> lock(session->stats_block_->mu);
-  SessionStats& stats = session->stats_block_->stats;
-  ++stats.queries;
-  switch (response.source) {
-    case QueryResponse::Source::kClientCache:
-      ++stats.client_cache_hits;
-      break;
-    case QueryResponse::Source::kServerCache:
-      ++stats.server_cache_hits;
-      break;
-    case QueryResponse::Source::kTileStore:
-      ++stats.tile_hits;
-      break;
-    case QueryResponse::Source::kStaleCache:
-      break;  // attributed via degraded_responses below
-    case QueryResponse::Source::kDbms:
-      break;  // counted at execution time
-  }
-  if (response.degraded) ++stats.degraded_responses;
-  stats.bytes_transferred += response.bytes;
-  stats.total_latency_ms += response.latency_millis;
-}
-
-void Middleware::RecordCancelled(Session* session) {
-  std::lock_guard<std::mutex> lock(session->stats_block_->mu);
-  ++session->stats_block_->stats.cancelled;
-}
-
-void Middleware::RecordError(Session* session, const Status& status) {
-  std::lock_guard<std::mutex> lock(session->stats_block_->mu);
-  ++session->stats_block_->stats.errors;
-  if (status.IsDeadlineExceeded()) {
-    ++session->stats_block_->stats.deadline_exceeded;
-  }
-}
-
-void Middleware::RecordRetry(Session* session) {
-  std::lock_guard<std::mutex> lock(session->stats_block_->mu);
-  ++session->stats_block_->stats.retries;
-}
-
-// Shed requests are errors (the client got kUnavailable), with the shed
-// counter attributing the cause.
-void Middleware::RecordShed(Session* session) {
-  std::lock_guard<std::mutex> lock(session->stats_block_->mu);
-  ++session->stats_block_->stats.shed;
-  ++session->stats_block_->stats.errors;
-}
-
-void Middleware::RecordCancelledMidFlight(Session* session) {
-  std::lock_guard<std::mutex> lock(session->stats_block_->mu);
-  ++session->stats_block_->stats.cancelled_mid_flight;
-}
-
-void Middleware::RecordHedgeLaunched(Session* session) {
-  std::lock_guard<std::mutex> lock(session->stats_block_->mu);
-  ++session->stats_block_->stats.hedged_requests;
-}
-
-void Middleware::RecordHedgeWin(Session* session) {
-  std::lock_guard<std::mutex> lock(session->stats_block_->mu);
-  ++session->stats_block_->stats.hedge_wins;
 }
 
 double Middleware::HedgeThresholdMs(const std::string& scope) const {
@@ -1039,7 +924,7 @@ void Middleware::PruneSessionsLocked() const {
       std::shared_ptr<SessionStatsBlock> block = std::move(it->stats);
       {
         std::lock_guard<std::mutex> block_lock(block->mu);
-        Accumulate(&retired_stats_, block->stats);
+        retired_stats_ += block->stats;
       }
       it = sessions_.erase(it);
     } else {
@@ -1051,43 +936,15 @@ void Middleware::PruneSessionsLocked() const {
 Middleware::Stats Middleware::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   PruneSessionsLocked();
-  SessionStats total = retired_stats_;
+  Stats out;
+  static_cast<SessionStats&>(out) = retired_stats_;
   for (const auto& slot : sessions_) {
     std::lock_guard<std::mutex> block_lock(slot.stats->mu);
-    Accumulate(&total, slot.stats->stats);
+    out += slot.stats->stats;
   }
-  Stats out;
-  out.queries = total.queries;
-  out.submitted = total.submitted;
-  out.client_cache_hits = total.client_cache_hits;
-  out.server_cache_hits = total.server_cache_hits;
-  out.tile_hits = total.tile_hits;
-  out.dbms_executions = total.dbms_executions;
-  out.cancelled = total.cancelled;
-  out.errors = total.errors;
-  out.retries = total.retries;
-  out.deadline_exceeded = total.deadline_exceeded;
-  out.shed = total.shed;
-  out.degraded_responses = total.degraded_responses;
-  out.hedged_requests = total.hedged_requests;
-  out.hedge_wins = total.hedge_wins;
-  out.cancelled_mid_flight = total.cancelled_mid_flight;
   out.breaker_open = breaker_->open_transitions() - breaker_open_baseline_;
   out.prepared_statements = prepared_statements_created_;
   out.sessions = sessions_created_;
-  out.bytes_transferred = total.bytes_transferred;
-  out.total_latency_ms = total.total_latency_ms;
-  out.storage_chunks_pruned =
-      storage::ChunksPruned() - storage_chunks_pruned_baseline_;
-  out.storage_morsels_pruned =
-      storage::MorselsPruned() - storage_morsels_pruned_baseline_;
-  out.storage_chunks_paged_in =
-      storage::ChunksPagedIn() - storage_chunks_paged_in_baseline_;
-  out.storage_resident_bytes = storage::ResidentBytes();
-  out.kernel_bitmap_selections =
-      kernels::BitmapSelections() - kernel_bitmap_selections_baseline_;
-  out.kernel_index_selections =
-      kernels::IndexSelections() - kernel_index_selections_baseline_;
   return out;
 }
 
@@ -1102,11 +959,6 @@ void Middleware::ResetStats() {
   // sessions_created_ / prepared_statements_created_ describe registry
   // state, not traffic; they survive a reset (as before).
   breaker_open_baseline_ = breaker_->open_transitions();
-  storage_chunks_pruned_baseline_ = storage::ChunksPruned();
-  storage_morsels_pruned_baseline_ = storage::MorselsPruned();
-  storage_chunks_paged_in_baseline_ = storage::ChunksPagedIn();
-  kernel_bitmap_selections_baseline_ = kernels::BitmapSelections();
-  kernel_index_selections_baseline_ = kernels::IndexSelections();
 }
 
 void Middleware::ClearCaches() {

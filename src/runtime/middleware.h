@@ -67,9 +67,10 @@ struct RetryPolicy {
 /// Hedged requests: when a DBMS execution is still running past a latency
 /// threshold, launch one duplicate attempt on another worker and take the
 /// first success; the loser is cancelled through its cooperative token. The
-/// threshold comes from live per-statement latency observations (p95 of a
-/// recent-sample ring), so hedges fire only for requests already slower than
-/// the statement's own tail — the classic tail-at-scale recipe.
+/// threshold comes from live per-statement observations of measured
+/// wall-clock time (p95 of a recent-sample ring), so hedges fire only for
+/// requests already slower than the statement's own tail — the classic
+/// tail-at-scale recipe.
 struct HedgePolicy {
   bool enabled = false;
   /// Hedge when the primary has been running longer than
@@ -78,7 +79,7 @@ struct HedgePolicy {
   /// Observations required before the p95 is trusted; below it no hedge
   /// fires (unless fixed_threshold_ms overrides).
   size_t min_samples = 8;
-  /// > 0: skip the latency model and hedge at this fixed delay (tests).
+  /// > 0: skip the observed p95 and hedge at this fixed delay (tests).
   double fixed_threshold_ms = 0;
   /// Floor under the computed threshold, so a run of cache-warm fast
   /// samples cannot make hedging fire instantly on every request.
@@ -100,12 +101,10 @@ struct MiddlewareOptions {
   LatencyParams latency;
   /// DBMS worker threads shared by all sessions.
   size_t worker_threads = 4;
-  /// Bound on the prepared-statement registry (0 = unbounded). Unreferenced
-  /// statements — ad-hoc literal-inlined SQL from legacy Session::Execute
-  /// clients — are LRU-evicted past this cap. Statements prepared through
-  /// the public Prepare() surface are pinned (their handles stay live
-  /// forever), so parameterized dashboards are never evicted; the cap
-  /// applies to the churn.
+  /// Bound on the prepared-statement registry (0 = unbounded). Every
+  /// Prepare() pins its statement, so live handles are never evicted;
+  /// statements whose last pin was dropped by Release() are LRU-evicted past
+  /// this cap. The cap applies to the churn of retired templates.
   size_t max_prepared_statements = 256;
   /// Test instrumentation: invoked by a worker right before DBMS execution
   /// (after cache and tile misses), with the query's cache key. Lets
@@ -188,7 +187,8 @@ struct SessionStats {
   /// (fired token observed mid-flight: supersession, deadline, hedge loss).
   size_t cancelled_mid_flight = 0;
   size_t bytes_transferred = 0;
-  double total_latency_ms = 0;
+
+  SessionStats& operator+=(const SessionStats& other);
 };
 
 /// A session's counters behind their own lock, shared between the Session
@@ -210,10 +210,6 @@ struct SessionStatsBlock {
 class Session : public rewrite::QueryService,
                 public std::enable_shared_from_this<Session> {
  public:
-  /// Legacy blocking path: prepare (formatting-insensitive), submit with no
-  /// parameters, await.
-  Result<rewrite::QueryResponse> Execute(const std::string& sql) override;
-
   /// Prepare against the middleware-wide statement registry; formatting
   /// variants of one logical statement share a handle (and cache entries).
   Result<rewrite::PreparedHandle> Prepare(const std::string& sql_template) override;
@@ -244,6 +240,15 @@ class Session : public rewrite::QueryService,
 
   bool CacheGet(const std::string& key, data::TablePtr* out);
   void CachePut(const std::string& key, data::TablePtr table);
+
+  /// The one delivery point: freeze the ticket's outcome, count it under the
+  /// stats lock (a completion by source, an error — shed or deadline
+  /// exceeded — or a cancellation when a cancel won), then publish it, so
+  /// stats never lag a delivered response.
+  void Resolve(rewrite::QueryTicket& ticket, Result<rewrite::QueryResponse> result,
+               bool shed = false);
+  /// Add one to `counter` under the stats lock.
+  void Bump(size_t SessionStats::*counter);
 
   Middleware* owner_;
   uint64_t id_;
@@ -287,8 +292,9 @@ class Middleware : public rewrite::QueryService {
   /// The implicit session behind the legacy single-client surface.
   Session& default_session() { return *default_session_; }
 
-  // QueryService surface, routed through the default session.
-  Result<rewrite::QueryResponse> Execute(const std::string& sql) override;
+  // QueryService surface, routed through the default session. Prepare
+  // registers (or finds) the canonical statement and pins it: formatting
+  // variants of one template share a handle and its cache entries.
   Result<rewrite::PreparedHandle> Prepare(const std::string& sql_template) override;
   rewrite::QueryTicketPtr Submit(const rewrite::QueryRequest& request) override;
 
@@ -307,36 +313,12 @@ class Middleware : public rewrite::QueryService {
 
   /// Aggregate stats across every session of this middleware — live ones
   /// plus the retired-sessions accumulator, so counters are monotone across
-  /// session churn (a dropped session's history is folded in, not lost).
-  struct Stats {
-    size_t queries = 0;
-    size_t submitted = 0;
-    size_t client_cache_hits = 0;
-    size_t server_cache_hits = 0;
-    size_t tile_hits = 0;
-    size_t dbms_executions = 0;
-    size_t cancelled = 0;
-    size_t errors = 0;
-    size_t retries = 0;            ///< extra attempts after transient failures
-    size_t deadline_exceeded = 0;  ///< kDeadlineExceeded deliveries (⊂ errors)
-    size_t shed = 0;               ///< load-shed at the worker queue (⊂ errors)
-    size_t degraded_responses = 0; ///< stale/coarser completions (⊂ queries)
-    size_t hedged_requests = 0;    ///< duplicate attempts launched
-    size_t hedge_wins = 0;         ///< completions adopted from the hedge
-    size_t cancelled_mid_flight = 0; ///< engine aborts at a cancel checkpoint
-    size_t breaker_open = 0;       ///< circuit-breaker open transitions
+  /// session churn (a dropped session's history is folded in, not lost) —
+  /// plus the fleet-only fields below.
+  struct Stats : SessionStats {
+    size_t breaker_open = 0;  ///< circuit-breaker open transitions
     size_t prepared_statements = 0;
     size_t sessions = 0;
-    size_t bytes_transferred = 0;
-    double total_latency_ms = 0;
-    // Out-of-core storage activity since construction / ResetStats().
-    size_t storage_chunks_pruned = 0;   ///< shard chunks skipped via zone maps
-    size_t storage_morsels_pruned = 0;  ///< in-memory morsels skipped likewise
-    size_t storage_chunks_paged_in = 0; ///< shard chunks decoded into residency
-    size_t storage_resident_bytes = 0;  ///< current decoded-chunk gauge (raw)
-    // SIMD kernel dispatch since construction / ResetStats().
-    size_t kernel_bitmap_selections = 0; ///< filters resolved in bitmap domain
-    size_t kernel_index_selections = 0;  ///< filters refined on index lists
   };
   Stats stats() const;
   void ResetStats();
@@ -347,7 +329,7 @@ class Middleware : public rewrite::QueryService {
 
   /// Statements currently resident in the registry (pinned + evictable).
   /// Bounded by max_prepared_statements plus the pinned set, regardless of
-  /// how many distinct ad-hoc strings have passed through Execute.
+  /// how many distinct templates have been prepared and released.
   size_t registry_size() const;
 
   const MiddlewareOptions& options() const { return options_; }
@@ -371,15 +353,12 @@ class Middleware : public rewrite::QueryService {
  private:
   friend class Session;
 
-  /// Register (or find) the canonical statement for `sql_template`.
-  /// `pin` marks the handle as externally held (public Prepare): pinned
-  /// entries are never evicted, so live handles keep working. Unpinned
-  /// callers get a transient reference they must drop via
-  /// ReleaseTransient() once their submission has resolved.
-  Result<rewrite::PreparedHandle> PrepareShared(const std::string& sql_template,
-                                                bool pin);
-  void ReleaseTransient(rewrite::PreparedHandle handle);
-  /// LRU-evict unreferenced statements down to the cap. Requires mu_.
+  /// One request's state, shared by the stages of RunQueryTask.
+  struct Request;
+  /// One hedged execution race between a primary and its duplicate.
+  class HedgeRace;
+
+  /// LRU-evict unpinned statements down to the cap. Requires mu_.
   void EvictStatementsLocked();
   sql::PreparedPtr StatementFor(rewrite::PreparedHandle handle) const;
 
@@ -389,11 +368,40 @@ class Middleware : public rewrite::QueryService {
 
   /// Worker-side execution of one submitted request. `deadline` is the
   /// absolute wall-clock cutoff derived from QueryRequest::deadline_ms at
-  /// submit time (nullopt = none).
+  /// submit time (nullopt = none). Runs the stages below and resolves the
+  /// ticket once with their result.
   void RunQueryTask(std::shared_ptr<Session> session, rewrite::QueryTicketPtr ticket,
                     sql::PreparedPtr stmt, std::vector<rewrite::QueryParam> params,
                     std::string key,
                     std::optional<std::chrono::steady_clock::time_point> deadline);
+
+  // The stages of one request, in order. Each returns the request's result
+  // so far; a failure flows on to the degraded fallback and delivery.
+  /// Single-flight, then the server cache, the tile tier, the DBMS attempts.
+  Result<rewrite::QueryResponse> ServeShared(Request& req);
+  /// An exact answer from the tile tier, or nullopt.
+  std::optional<rewrite::QueryResponse> ProbeTiles(const Request& req);
+  /// The DBMS attempts (breaker, retry, hedge) and their bookkeeping.
+  Result<rewrite::QueryResponse> RunAttempts(Request& req);
+  Result<rewrite::QueryResponse> AttemptLoop(Request& req, HedgeRace* race);
+  /// Launch the hedge duplicate when the statement has a threshold and the
+  /// pool admits it; null otherwise.
+  std::shared_ptr<HedgeRace> LaunchHedge(const Request& req);
+  /// Replace a failure of fresh execution with a stale or coarser answer.
+  Result<rewrite::QueryResponse> Degrade(const Request& req, Result<rewrite::QueryResponse> result);
+
+  /// The one response constructor: encoded size, and modeled latency as
+  /// `server_ms` plus the transfer of that payload.
+  rewrite::QueryResponse Respond(data::TablePtr table,
+                                 rewrite::QueryResponse::Source source, double server_ms,
+                                 bool degraded) const;
+  /// The fault injector's verdict on one backend attempt keyed `key`: sleeps
+  /// out any injected stall (capped at `deadline`; through `race` when
+  /// given, so the hedge finishing wakes the primary), adds the full stall
+  /// to `*stall_ms`, and returns the injected failure, if any.
+  Status InjectFault(const std::string& key,
+                     const std::optional<std::chrono::steady_clock::time_point>& deadline,
+                     HedgeRace* race, double* stall_ms) const;
 
   // Single-flight: serialize workers executing the same cache key. Returns
   // false — without claiming the slot — when `deadline` expires while
@@ -407,20 +415,12 @@ class Middleware : public rewrite::QueryService {
   /// being shed, so admission refusals land on the session causing the load.
   bool ShouldBypassQueueBound(const Session* session) const;
 
-  void RecordCompletion(Session* session, const rewrite::QueryResponse& response);
-  void RecordCancelled(Session* session);
-  void RecordError(Session* session, const Status& status);
-  void RecordRetry(Session* session);
-  void RecordShed(Session* session);
-  void RecordCancelledMidFlight(Session* session);
-  void RecordHedgeLaunched(Session* session);
-  void RecordHedgeWin(Session* session);
-
   /// Hedge delay for `scope` (canonical SQL): fixed_threshold_ms when set,
   /// else latency_factor * the statement's observed p95 once min_samples
   /// have landed. Negative = do not hedge (disabled or not enough data).
   double HedgeThresholdMs(const std::string& scope) const;
-  /// Feed one successful DBMS completion latency into the statement's ring.
+  /// Feed the measured wall-clock ms of one successful DBMS answer (from
+  /// the start of its attempts) into the statement's ring.
   void RecordDbmsLatency(const std::string& scope, double ms);
 
   /// Fold the stats of expired sessions into retired_stats_ and drop their
@@ -439,16 +439,15 @@ class Middleware : public rewrite::QueryService {
   /// silently resolve to a different statement — a dead handle fails loudly.
   struct StatementEntry {
     sql::PreparedPtr stmt;
-    /// Outstanding public Prepare() pins (deduped Prepares stack); entries
-    /// with pins are never evicted. Release() drops one pin.
+    /// Outstanding Prepare() pins (deduped Prepares stack); entries with
+    /// pins are never evicted. Release() drops one pin.
     size_t pin_count = 0;
-    size_t transient_uses = 0;  // in-flight legacy Execute calls
     /// Position in statement_lru_ (unpinned entries only; pinned entries
     /// leave the order list, they can never be victims).
     std::list<rewrite::PreparedHandle>::iterator lru_it;
   };
 
-  /// Recent DBMS completion latencies of one statement (fixed ring; the
+  /// Recent measured DBMS answer times of one statement (fixed ring; the
   /// hedge threshold reads its p95). Small enough to copy under mu_.
   struct LatencyRing {
     static constexpr size_t kCapacity = 64;
@@ -460,9 +459,8 @@ class Middleware : public rewrite::QueryService {
   mutable std::mutex mu_;  // statements, server cache, stats, session list
   std::unordered_map<rewrite::PreparedHandle, StatementEntry> statements_;
   std::unordered_map<std::string, rewrite::PreparedHandle> by_canonical_;
-  /// Unpinned statements, most recently used first; eviction walks from the
-  /// back (skipping in-flight transient uses), so finding a victim is O(1)
-  /// amortized instead of scanning the registry.
+  /// Unpinned statements, most recently released first; eviction pops from
+  /// the back, so finding a victim is O(1) instead of scanning the registry.
   std::list<rewrite::PreparedHandle> statement_lru_;
   rewrite::PreparedHandle next_handle_ = 1;
   QueryCache server_cache_;
@@ -486,14 +484,6 @@ class Middleware : public rewrite::QueryService {
   size_t prepared_statements_created_ = 0;
   /// ResetStats() rebases breaker_open on this monotone counter.
   size_t breaker_open_baseline_ = 0;
-  /// Likewise for the process-wide storage counters (monotone; the gauge
-  /// storage_resident_bytes is reported raw, not rebased).
-  size_t storage_chunks_pruned_baseline_ = 0;
-  size_t storage_morsels_pruned_baseline_ = 0;
-  size_t storage_chunks_paged_in_baseline_ = 0;
-  /// Likewise for the process-wide SIMD kernel dispatch counters.
-  size_t kernel_bitmap_selections_baseline_ = 0;
-  size_t kernel_index_selections_baseline_ = 0;
   uint64_t next_session_id_ = 1;
 
   /// Per-statement latency observations driving the hedge threshold.

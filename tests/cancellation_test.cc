@@ -3,9 +3,10 @@
 // checkpoint, not after it), storage-layer fault injection through the
 // page-in hook, single-flight leader cancellation (middleware and tile
 // store — a dead leader must not poison followers), hedged requests racing
-// injected stalls, bit-identity with the cancellation layer disabled, and
-// an 8-thread cancel storm. Registered under the `chaos` ctest label (CI
-// runs it under ASan/UBSan) and `concurrency` (TSan).
+// injected stalls (fixed and adaptive thresholds) or losing to a fast
+// primary, bit-identity of a live but never-firing token, and an 8-thread
+// cancel storm. Registered under the `chaos` ctest label (CI runs it under
+// ASan/UBSan) and `concurrency` (TSan).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +20,7 @@
 #include "common/cancel.h"
 #include "data/ipc.h"
 #include "data/table.h"
+#include "middleware_test_util.h"
 #include "runtime/middleware.h"
 #include "sql/engine.h"
 #include "storage/reader.h"
@@ -188,7 +190,7 @@ TEST_F(CancellationTest, StoragePageInFaultRetriesDeterministically) {
   Middleware mw(&engine, options);
   PageInFaultGuard hook(mw.fault_injector());
 
-  auto got = mw.Execute("SELECT COUNT(*) AS c FROM t WHERE v < 1000000");
+  auto got = RunSql(mw, "SELECT COUNT(*) AS c FROM t WHERE v < 1000000");
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(got->table->column(0).NumericAt(0), 1'000'000.0);
 
@@ -350,11 +352,84 @@ TEST_F(CancellationTest, HedgeBeatsInjectedStall) {
   EXPECT_EQ(stats.errors, 0u);
 }
 
-// Kill-switch bit-identity: with cooperative_cancel off — and with it on
-// but no token ever firing — results are byte-for-byte identical across a
-// corpus exercising scan, filter, aggregation, grouping, and ordering on
-// the 4M-row shard.
-TEST_F(CancellationTest, BitIdenticalWithCooperativeCancelOff) {
+// A primary that answers inside the hedge threshold settles the race: the
+// queued hedge wakes, finds the race decided, and never reaches the backend.
+TEST_F(CancellationTest, SettledRaceKeepsTheHedgeOffTheBackend) {
+  sql::Engine engine;
+  engine.RegisterTable("t", CountingTable(500));
+
+  MiddlewareOptions options;
+  options.hedge.enabled = true;
+  options.hedge.fixed_threshold_ms = 100;
+  options.fault_injection = FaultInjectorOptions{};  // no rules: it only counts attempts
+  Middleware mw(&engine, options);
+
+  auto handle = mw.Prepare(kCutTemplate);
+  ASSERT_TRUE(handle.ok());
+  QueryRequest request;
+  request.handle = *handle;
+  request.params = {{"cut", expr::EvalValue::Number(123)}};
+  auto response = mw.Submit(request)->Await();
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(mw.stats().hedged_requests, 1u);
+
+  // Well past the threshold, an unsettled hedge would have made its attempt.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(mw.fault_injector()->attempts(), 1u);
+  EXPECT_EQ(mw.stats().hedge_wins, 0u);
+}
+
+// The adaptive hedge threshold is a p95 of *measured* DBMS time. With a
+// modeled 1 s round trip, eight warm-up executions that each take well under
+// a millisecond of wall-clock time must put the threshold near the 1 ms
+// floor, so a primary stalled 300 ms is beaten by its hedge. A threshold
+// taken from modeled latency would wait out ~1 s and the stall would win.
+TEST_F(CancellationTest, AdaptiveHedgeThresholdUsesMeasuredTime) {
+  sql::Engine engine;
+  engine.RegisterTable("t", CountingTable(500));
+
+  MiddlewareOptions options;
+  options.latency.round_trip_ms = 1000;
+  options.hedge.enabled = true;
+  options.hedge.min_samples = 8;
+  options.hedge.latency_factor = 1;
+  options.fault_injection = FaultInjectorOptions{};
+  options.fault_injection->rules.push_back(FaultRule{"cut=250", 0, false, 0, /*stall_ms=*/300.0});
+  Middleware mw(&engine, options);
+
+  auto handle = mw.Prepare(kCutTemplate);
+  ASSERT_TRUE(handle.ok());
+  QueryRequest request;
+  request.handle = *handle;
+  for (int cut = 101; cut <= 108; ++cut) {  // distinct cuts: each one executes
+    request.params = {{"cut", expr::EvalValue::Number(cut)}};
+    auto warm = mw.Submit(request)->Await();
+    ASSERT_TRUE(warm.ok()) << warm.status();
+    ASSERT_EQ(warm->source, QueryResponse::Source::kDbms);
+  }
+  ASSERT_EQ(mw.stats().hedged_requests, 0u);  // below min_samples: no hedge
+
+  request.params = {{"cut", expr::EvalValue::Number(250)}};
+  const auto t0 = std::chrono::steady_clock::now();
+  auto response = mw.Submit(request)->Await();
+  const double elapsed_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+          .count();
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->table->column(0).NumericAt(0), 250.0);
+  EXPECT_LT(elapsed_ms, 150.0);
+
+  Middleware::Stats stats = mw.stats();
+  EXPECT_EQ(stats.hedged_requests, 1u);
+  EXPECT_EQ(stats.hedge_wins, 1u);
+}
+
+// A live token that never fires changes nothing: the middleware (which
+// mints a token for every request) and the engine polling a far-future
+// deadline at every checkpoint are both byte-for-byte identical to the
+// engine run with no context at all, across a corpus exercising scan,
+// filter, aggregation, grouping, and ordering on the 4M-row shard.
+TEST_F(CancellationTest, BitIdenticalWithNeverFiringToken) {
   const char* corpus[] = {
       "SELECT COUNT(*) AS c FROM t WHERE v < 1000000",
       "SELECT SUM(v) AS s, MIN(v) AS lo, MAX(v) AS hi FROM t",
@@ -363,41 +438,28 @@ TEST_F(CancellationTest, BitIdenticalWithCooperativeCancelOff) {
       "GROUP BY FLOOR(v / 1000000) ORDER BY g",
   };
 
-  sql::Engine on_engine;
-  sql::Engine off_engine;
-  auto on_reader = OpenShard();
-  auto off_reader = OpenShard();
-  ASSERT_NE(on_reader, nullptr);
-  ASSERT_NE(off_reader, nullptr);
-  ASSERT_TRUE(on_engine.RegisterShardTable("t", on_reader).ok());
-  ASSERT_TRUE(off_engine.RegisterShardTable("t", off_reader).ok());
-
-  Middleware on_mw(&on_engine, {});  // cooperative_cancel defaults on
-  MiddlewareOptions off_options;
-  off_options.engine_config = EngineConfig::Current();
-  off_options.engine_config->cooperative_cancel = false;  // no tokens at all
-  Middleware off_mw(&off_engine, off_options);
+  sql::Engine engine;
+  auto reader = OpenShard();
+  ASSERT_NE(reader, nullptr);
+  ASSERT_TRUE(engine.RegisterShardTable("t", reader).ok());
+  Middleware mw(&engine, {});
 
   for (const char* sql : corpus) {
-    auto with = on_mw.Execute(sql);
-    auto without = off_mw.Execute(sql);
-    ASSERT_TRUE(with.ok()) << sql << ": " << with.status();
-    ASSERT_TRUE(without.ok()) << sql << ": " << without.status();
-    EXPECT_EQ(Bytes(*with->table), Bytes(*without->table)) << sql;
+    auto plain = engine.Query(sql);
+    ASSERT_TRUE(plain.ok()) << sql << ": " << plain.status();
 
-    // Engine-direct sweep: a live token with a far-future deadline (polled
-    // at every checkpoint, never firing) against no context at all.
+    auto served = RunSql(mw, sql);
+    ASSERT_TRUE(served.ok()) << sql << ": " << served.status();
+    EXPECT_EQ(Bytes(*served->table), Bytes(*plain->table)) << sql;
+
     common::QueryContext ctx;
     ctx.cancel = std::make_shared<common::CancelToken>(
         std::chrono::steady_clock::now() + std::chrono::hours(1));
-    auto tokened = on_engine.Query(sql, &ctx);
-    auto plain = on_engine.Query(sql);
+    auto tokened = engine.Query(sql, &ctx);
     ASSERT_TRUE(tokened.ok()) << sql << ": " << tokened.status();
-    ASSERT_TRUE(plain.ok()) << sql << ": " << plain.status();
     EXPECT_EQ(Bytes(*tokened->table), Bytes(*plain->table)) << sql;
   }
-  EXPECT_EQ(on_mw.stats().cancelled_mid_flight, 0u);
-  EXPECT_EQ(off_mw.stats().cancelled_mid_flight, 0u);
+  EXPECT_EQ(mw.stats().cancelled_mid_flight, 0u);
 }
 
 // 8-thread cancel storm: generations superseding in-flight work, explicit
@@ -458,7 +520,7 @@ TEST_F(CancellationTest, CancelStormEightThreadsStaysCoherent) {
 
   // Workers were reclaimed by the checkpoints, never wedged: the storm's
   // pool still answers.
-  auto after = mw.Execute("SELECT COUNT(*) AS c FROM t WHERE v < 111");
+  auto after = RunSql(mw, "SELECT COUNT(*) AS c FROM t WHERE v < 111");
   ASSERT_TRUE(after.ok()) << after.status();
   EXPECT_EQ(after->table->column(0).NumericAt(0), 111.0);
 }

@@ -8,13 +8,16 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "data/ipc.h"
+#include "middleware_test_util.h"
 #include "rewrite/vdt.h"
 #include "runtime/middleware.h"
 #include "transforms/binning.h"
@@ -75,8 +78,8 @@ class FaultToleranceTest : public ::testing::Test {
   void SetUp() override { engine_.RegisterTable("t", CountingTable(500)); }
 
   // Submit the shared counting template with one bound cut and await it.
-  // Using Prepare + params (instead of literal-inlined Execute) keeps every
-  // cut on ONE canonical statement — the circuit breaker's scope.
+  // Using Prepare + params (instead of literal-inlined SQL) keeps every cut
+  // on ONE canonical statement — the circuit breaker's scope.
   static Result<QueryResponse> RunCut(Middleware& mw,
                                       rewrite::PreparedHandle handle,
                                       double cut) {
@@ -108,8 +111,8 @@ TEST_F(FaultToleranceTest, RetryRecoversBitIdenticalToFaultFree) {
   for (int i = 0; i < kCuts; ++i) {
     std::string sql =
         "SELECT COUNT(*) AS c FROM t WHERE v < " + std::to_string(100 + i);
-    auto want = clean.Execute(sql);
-    auto got = faulty.Execute(sql);
+    auto want = RunSql(clean, sql);
+    auto got = RunSql(faulty, sql);
     ASSERT_TRUE(want.ok()) << want.status();
     ASSERT_TRUE(got.ok()) << got.status() << "\n" << sql;
     EXPECT_FALSE(got->degraded);
@@ -351,13 +354,13 @@ TEST_F(FaultToleranceTest, StaleCacheServedBitIdenticalUnderOutage) {
   Middleware mw(&engine_, options);
 
   const std::string sql = "SELECT COUNT(*) AS c FROM t WHERE v < 250";
-  auto fresh = mw.Execute(sql);
+  auto fresh = RunSql(mw, sql);
   ASSERT_TRUE(fresh.ok()) << fresh.status();
 
   mw.ClearCaches();  // drops both cache tiers; the stale archive survives
   mw.fault_injector()->AddRule(FaultRule{"", 0, /*permanent=*/true});
 
-  auto degraded = mw.Execute(sql);
+  auto degraded = RunSql(mw, sql);
   ASSERT_TRUE(degraded.ok()) << degraded.status();
   EXPECT_TRUE(degraded->degraded);
   EXPECT_EQ(degraded->source, QueryResponse::Source::kStaleCache);
@@ -373,7 +376,7 @@ TEST_F(FaultToleranceTest, StaleCacheServedBitIdenticalUnderOutage) {
   strict.enable_degraded_serving = false;
   strict.fault_injection->rules.push_back(FaultRule{"", 0, /*permanent=*/true});
   Middleware strict_mw(&engine_, strict);
-  auto err = strict_mw.Execute(sql);
+  auto err = RunSql(strict_mw, sql);
   ASSERT_FALSE(err.ok());
   EXPECT_TRUE(err.status().IsUnavailable());
 }
@@ -627,6 +630,204 @@ TEST_F(FaultToleranceTest, ChaosStressStatsStayCoherent) {
   EXPECT_GT(mw.fault_injector()->attempts(), 0u);
   // Errors are attributable: nothing failed without a cause counter.
   EXPECT_LE(stats.deadline_exceeded + stats.shed, stats.errors);
+}
+
+// Property test over random schedules of the request path. Each seed draws a
+// middleware (workers, queue bound, retry attempts, hedging, degraded
+// serving, breaker threshold and open window), a fault schedule (failure
+// probability, fail-N, permanent outage, a stall on one key) and, for
+// threads sharing each session, the params, generations, deadlines and
+// explicit cancels of every request. Whatever the interleaving:
+//   * every ticket resolves and the stats count each request exactly once;
+//   * the documented subset relations of Middleware::Stats hold;
+//   * every non-degraded answer is byte-identical to the engine's;
+//   * once the faults clear and the breaker window has passed, a
+//     never-cached request gets a fresh DBMS answer (no breaker wedged).
+// Summed over the seeds every mechanism must have been reached, so the
+// properties cannot hold vacuously.
+TEST_F(FaultToleranceTest, RandomSchedulesKeepTheRequestPathCoherent) {
+  constexpr uint64_t kSeeds = 16;
+  constexpr int kSessions = 2;
+  constexpr int kThreadsPerSession = 2;
+  constexpr int kRequestsPerThread = 16;
+  constexpr size_t kWarmCuts = 6;  // cuts archived before the faults start
+  constexpr char kTemplate[] =
+      "SELECT COUNT(*) AS c, SUM(v) AS s FROM t WHERE v < ${cut}";
+  // Three-digit cuts: no cut's key segment is a substring of another's, so
+  // the stall rule hits exactly one key.
+  std::vector<int> cuts;
+  for (int cut = 110; cut <= 220; cut += 10) cuts.push_back(cut);
+
+  std::map<int, std::string> want;
+  auto expected = [&](int cut) -> const std::string& {
+    auto it = want.find(cut);
+    if (it == want.end()) {
+      auto result = engine_.Query("SELECT COUNT(*) AS c, SUM(v) AS s FROM t WHERE v < " +
+                                  std::to_string(cut));
+      EXPECT_TRUE(result.ok()) << result.status();
+      it = want.emplace(cut, result.ok() ? Bytes(*result->table) : "").first;
+    }
+    return it->second;
+  };
+  for (int cut : cuts) expected(cut);
+
+  // Bounded waits: a miscount or a lost ticket fails within seconds.
+  const auto quiesced = [](const Middleware& mw) {
+    const auto limit = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (std::chrono::steady_clock::now() < limit) {
+      Middleware::Stats s = mw.stats();
+      if (s.queries + s.cancelled + s.errors == s.submitted &&
+          mw.worker_pool().queue_depth() == 0) {
+        return true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  };
+
+  struct Planned {
+    int cut;
+    uint64_t generation;
+    uint64_t client_id;
+    double deadline_ms;
+    bool cancel;
+  };
+
+  size_t degraded = 0, hedge_wins = 0, retries = 0, breaker_opens = 0, sheds = 0,
+         deadline_errors = 0;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    MiddlewareOptions options;
+    options.worker_threads = static_cast<size_t>(rng.UniformInt(1, 4));
+    options.max_queue_depth = rng.NextBool() ? static_cast<size_t>(rng.UniformInt(1, 4)) : 0;
+    options.retry.max_attempts = static_cast<size_t>(rng.UniformInt(1, 3));
+    options.retry.initial_backoff_ms = rng.Uniform(0.1, 3);
+    options.hedge.enabled = rng.NextBool(0.75);
+    options.hedge.fixed_threshold_ms = rng.Uniform(1, 3);
+    options.enable_degraded_serving = rng.NextBool();
+    options.circuit_breaker.failure_threshold = static_cast<size_t>(rng.UniformInt(1, 6));
+    options.circuit_breaker.open_ms = rng.Uniform(2, 20);
+    options.fault_injection = FaultInjectorOptions{};
+    options.fault_injection->seed = seed;
+    Middleware mw(&engine_, options);
+    auto handle = mw.Prepare(kTemplate);
+    ASSERT_TRUE(handle.ok()) << handle.status();
+
+    // Archive results while the backend is healthy, then drop the cache
+    // tiers, so failures have something to degrade to.
+    for (size_t i = 0; i < kWarmCuts; ++i) ASSERT_TRUE(RunCut(mw, *handle, cuts[i]).ok());
+    mw.ClearCaches();
+
+    // First matching rule wins: the stalled key never fails, and every other
+    // key draws from the failure schedule. That schedule matches either every
+    // key or only the primaries' ("cut=" is not in the hedge's opaque key).
+    const int stalled = cuts[rng.Index(cuts.size())];
+    mw.fault_injector()->AddRule(
+        FaultRule{"cut=" + std::to_string(stalled), 0, false, 0, rng.Uniform(5, 30)});
+    FaultRule failing;
+    failing.match = rng.NextBool() ? "" : "cut=";
+    failing.fail_times = static_cast<size_t>(rng.UniformInt(0, 2));
+    failing.fail_probability = rng.Uniform(0, 0.5);
+    failing.permanent = rng.NextBool(0.2);
+    mw.fault_injector()->AddRule(failing);
+
+    // Every thread's requests are drawn up front, so a seed replays the same
+    // requests whatever the interleaving.
+    std::vector<std::vector<Planned>> plans(kSessions * kThreadsPerSession);
+    std::vector<size_t> bursts(plans.size());
+    for (size_t t = 0; t < plans.size(); ++t) {
+      bursts[t] = static_cast<size_t>(rng.UniformInt(1, 4));
+      for (int i = 0; i < kRequestsPerThread; ++i) {
+        Planned p;
+        p.cut = cuts[rng.Index(cuts.size())];
+        p.generation = rng.NextBool() ? 0 : static_cast<uint64_t>(rng.UniformInt(1, 40));
+        p.client_id = static_cast<uint64_t>(rng.UniformInt(0, 3));
+        p.deadline_ms = rng.NextBool(0.4) ? rng.Uniform(0.2, 10) : 0;
+        p.cancel = rng.NextBool(0.15);
+        plans[t].push_back(p);
+      }
+    }
+
+    std::vector<std::shared_ptr<Session>> sessions;
+    for (int s = 0; s < kSessions; ++s) sessions.push_back(mw.CreateSession());
+    std::atomic<int> unexpected{0}, unresolved{0}, wrong_bytes{0};
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < plans.size(); ++t) {
+      threads.emplace_back([&, t] {
+        Session& session = *sessions[t / kThreadsPerSession];
+        std::vector<std::pair<int, rewrite::QueryTicketPtr>> inflight;
+        auto drain = [&] {
+          for (auto& [cut, ticket] : inflight) {
+            auto response = ticket->Await(std::chrono::seconds(5));
+            if (!ticket->done()) {
+              ++unresolved;
+            } else if (response.ok()) {
+              if (!response->degraded && Bytes(*response->table) != want.at(cut)) {
+                ++wrong_bytes;
+              }
+            } else {
+              const Status& st = response.status();
+              if (!st.IsCancelled() && !st.IsUnavailable() && !st.IsDeadlineExceeded()) {
+                ++unexpected;
+              }
+            }
+          }
+          inflight.clear();
+        };
+        for (const Planned& p : plans[t]) {
+          QueryRequest request;
+          request.handle = *handle;
+          request.params = {{"cut", expr::EvalValue::Number(p.cut)}};
+          request.generation = p.generation;
+          request.client_id = p.client_id;
+          request.deadline_ms = p.deadline_ms;
+          auto ticket = session.Submit(request);
+          if (p.cancel) ticket->Cancel();
+          inflight.emplace_back(p.cut, std::move(ticket));
+          if (inflight.size() >= bursts[t]) drain();
+        }
+        drain();
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(unresolved.load(), 0);
+    EXPECT_EQ(unexpected.load(), 0);
+    EXPECT_EQ(wrong_bytes.load(), 0);
+
+    ASSERT_TRUE(quiesced(mw)) << "stats never accounted for every request";
+    Middleware::Stats s = mw.stats();
+    EXPECT_EQ(s.queries + s.cancelled + s.errors, s.submitted);
+    EXPECT_LE(s.deadline_exceeded + s.shed, s.errors);
+    EXPECT_LE(s.degraded_responses, s.queries);
+    EXPECT_LE(s.hedge_wins, s.hedged_requests);
+    degraded += s.degraded_responses;
+    hedge_wins += s.hedge_wins;
+    retries += s.retries;
+    breaker_opens += s.breaker_open;
+    sheds += s.shed;
+    deadline_errors += s.deadline_exceeded;
+
+    // Recovery: with the faults gone and the open window over, cuts no tier
+    // has seen must be answered fresh — the first may be the half-open
+    // probe, the second proves the probe closed the breaker.
+    mw.fault_injector()->ClearRules();
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(options.circuit_breaker.open_ms + 5));
+    for (int fresh_cut : {300 + static_cast<int>(seed), 400 + static_cast<int>(seed)}) {
+      auto fresh = RunCut(mw, *handle, fresh_cut);
+      ASSERT_TRUE(fresh.ok()) << fresh.status();
+      EXPECT_EQ(fresh->source, QueryResponse::Source::kDbms);
+      EXPECT_FALSE(fresh->degraded);
+      EXPECT_EQ(Bytes(*fresh->table), expected(fresh_cut));
+    }
+  }
+  EXPECT_GT(degraded, 0u);
+  EXPECT_GT(hedge_wins, 0u);
+  EXPECT_GT(retries, 0u);
+  EXPECT_GT(breaker_opens, 0u);
+  EXPECT_GT(sheds, 0u);
+  EXPECT_GT(deadline_errors, 0u);
 }
 
 // A success reported late — by an execution admitted before the breaker

@@ -3,6 +3,7 @@
 #include "benchdata/templates.h"
 #include "benchdata/workload.h"
 #include "expr/batch_eval.h"
+#include "middleware_test_util.h"
 #include "rewrite/vdt.h"
 #include "runtime/cache.h"
 #include "runtime/middleware.h"
@@ -90,10 +91,10 @@ class MiddlewareTest : public ::testing::Test {
 
 TEST_F(MiddlewareTest, CacheTiersReduceLatency) {
   Middleware mw(&engine_, {});
-  auto first = mw.Execute("SELECT * FROM t WHERE v < 100");
+  auto first = RunSql(mw, "SELECT * FROM t WHERE v < 100");
   ASSERT_TRUE(first.ok()) << first.status();
   EXPECT_EQ(first->source, rewrite::QueryResponse::Source::kDbms);
-  auto second = mw.Execute("SELECT * FROM t WHERE v < 100");
+  auto second = RunSql(mw, "SELECT * FROM t WHERE v < 100");
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->source, rewrite::QueryResponse::Source::kClientCache);
   EXPECT_LT(second->latency_millis, first->latency_millis);
@@ -106,8 +107,8 @@ TEST_F(MiddlewareTest, ServerCacheTierWhenClientCacheDisabled) {
   MiddlewareOptions options;
   options.enable_client_cache = false;
   Middleware mw(&engine_, options);
-  ASSERT_TRUE(mw.Execute("SELECT COUNT(*) AS c FROM t").ok());
-  auto second = mw.Execute("SELECT COUNT(*) AS c FROM t");
+  ASSERT_TRUE(RunSql(mw, "SELECT COUNT(*) AS c FROM t").ok());
+  auto second = RunSql(mw, "SELECT COUNT(*) AS c FROM t");
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->source, rewrite::QueryResponse::Source::kServerCache);
   // Server hits still pay the round trip.
@@ -116,19 +117,19 @@ TEST_F(MiddlewareTest, ServerCacheTierWhenClientCacheDisabled) {
 
 TEST_F(MiddlewareTest, BadSqlPropagatesError) {
   Middleware mw(&engine_, {});
-  EXPECT_FALSE(mw.Execute("SELECT FROM WHERE").ok());
-  EXPECT_FALSE(mw.Execute("SELECT * FROM missing_table").ok());
+  EXPECT_FALSE(RunSql(mw, "SELECT FROM WHERE").ok());
+  EXPECT_FALSE(RunSql(mw, "SELECT * FROM missing_table").ok());
 }
 
 // The cache is keyed on (prepared statement, bound params), not SQL text:
 // formatting variants of one logical query share a single cache entry.
 TEST_F(MiddlewareTest, FormattingVariantsShareCacheEntry) {
   Middleware mw(&engine_, {});
-  auto first = mw.Execute("SELECT * FROM t WHERE v < 100");
+  auto first = RunSql(mw, "SELECT * FROM t WHERE v < 100");
   ASSERT_TRUE(first.ok()) << first.status();
   EXPECT_EQ(first->source, rewrite::QueryResponse::Source::kDbms);
   // Different whitespace, case, and parenthesization — same logical query.
-  auto second = mw.Execute("select  *\n FROM   t   WHERE  (v < 100)");
+  auto second = RunSql(mw, "select  *\n FROM   t   WHERE  (v < 100)");
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_EQ(second->source, rewrite::QueryResponse::Source::kClientCache);
   EXPECT_EQ(mw.stats().dbms_executions, 1u);
@@ -160,9 +161,8 @@ TEST_F(MiddlewareTest, FormattingVariantTemplatesShareHandleAndCache) {
 }
 
 // Custom QueryService implementations provide only Prepare/Submit (the
-// session API). The deprecated Execute(sql) shim in the base class forwards
-// string queries through that same pair — there is no separate synchronous
-// execution path to implement or maintain.
+// session API), and VDTs drive exactly that pair — there is no separate
+// synchronous execution path to implement or maintain.
 class ForwardingService : public rewrite::QueryService {
  public:
   explicit ForwardingService(Middleware* inner) : inner_(inner) {}
@@ -201,26 +201,12 @@ TEST_F(MiddlewareTest, SessionApiIsTheOnlyExecutionPath) {
   ASSERT_NE(result->table, nullptr);
   EXPECT_EQ(result->table->num_rows(), 1u);
   EXPECT_DOUBLE_EQ(result->table->column(0).NumericAt(0), 42.0);
-
-  // The deprecated string shim routes through the same front door: its call
-  // shows up as one more Prepare + Submit on the implementation, proving no
-  // duplicate sync path exists.
-  const int prepares_before = service.prepares();
-  const int submits_before = service.submits();
-  auto shim = service.Execute("SELECT COUNT(*) AS c FROM t");
-  ASSERT_TRUE(shim.ok()) << shim.status();
-  EXPECT_EQ(service.prepares(), prepares_before + 1);
-  EXPECT_EQ(service.submits(), submits_before + 1);
-  EXPECT_EQ(service.last_template(), "SELECT COUNT(*) AS c FROM t");
-  ASSERT_NE(shim->table, nullptr);
-  EXPECT_EQ(shim->table->num_rows(), 1u);
 }
 
-// Regression (ROADMAP "Bounded prepared-statement registry"): legacy
-// Session::Execute clients issuing distinct literal-inlined SQL used to grow
-// the registry without bound. Ad-hoc statements are now transient and
-// LRU-evicted past the cap, while handles from the public Prepare surface
-// are pinned and keep working through arbitrary churn.
+// Regression (ROADMAP "Bounded prepared-statement registry"): a client that
+// prepares a distinct literal-inlined statement per query must not grow the
+// registry without bound. Released statements are LRU-evicted past the cap,
+// while handles still pinned keep working through arbitrary churn.
 TEST_F(MiddlewareTest, StatementRegistryBoundedUnderAdHocChurn) {
   MiddlewareOptions options;
   options.max_prepared_statements = 32;
@@ -234,10 +220,9 @@ TEST_F(MiddlewareTest, StatementRegistryBoundedUnderAdHocChurn) {
   ASSERT_TRUE(pinned.ok()) << pinned.status();
 
   for (int i = 0; i < 10000; ++i) {
-    auto response =
-        session->Execute("SELECT COUNT(*) AS c FROM t WHERE v < " + std::to_string(i));
-    ASSERT_TRUE(response.ok()) << response.status();
-    ASSERT_EQ(response->table->num_rows(), 1u);
+    auto handle = session->Prepare("SELECT COUNT(*) AS c FROM t WHERE v < " + std::to_string(i));
+    ASSERT_TRUE(handle.ok()) << handle.status();
+    mw.Release(*handle);
   }
   EXPECT_LE(mw.registry_size(), options.max_prepared_statements);
   EXPECT_EQ(mw.stats().prepared_statements, 10001u);  // cumulative, distinct
@@ -256,8 +241,8 @@ TEST_F(MiddlewareTest, StatementRegistryBoundedUnderAdHocChurn) {
   EXPECT_EQ(*again, *pinned);
 }
 
-// Regression (ROADMAP "explicit Release(handle) surface"): a released public
-// Prepare handle no longer pins its statement — ad-hoc churn can evict it,
+// Regression (ROADMAP "explicit Release(handle) surface"): a released
+// Prepare handle no longer pins its statement — churn can evict it,
 // after which the handle fails loudly instead of silently rebinding — while
 // an unreleased handle keeps working through the same churn.
 TEST_F(MiddlewareTest, ReleasedHandleUnpinsAndLiveHandleNeverRebinds) {
@@ -284,9 +269,9 @@ TEST_F(MiddlewareTest, ReleasedHandleUnpinsAndLiveHandleNeverRebinds) {
 
   // Churn well past the cap: the released entry is now evictable and goes.
   for (int i = 0; i < 200; ++i) {
-    auto response =
-        session->Execute("SELECT COUNT(*) AS c FROM t WHERE v < " + std::to_string(i));
-    ASSERT_TRUE(response.ok()) << response.status();
+    auto handle = session->Prepare("SELECT COUNT(*) AS c FROM t WHERE v < " + std::to_string(i));
+    ASSERT_TRUE(handle.ok()) << handle.status();
+    mw.Release(*handle);
   }
   EXPECT_LE(mw.registry_size(), options.max_prepared_statements + 1);  // +1 pinned
 
@@ -327,9 +312,9 @@ TEST_F(MiddlewareTest, DedupedPrepareSurvivesOneRelease) {
 
   auto churn = [&] {
     for (int i = 0; i < 100; ++i) {
-      auto response = session->Execute("SELECT COUNT(*) AS c FROM t WHERE v < " +
-                                       std::to_string(i));
-      ASSERT_TRUE(response.ok()) << response.status();
+      auto handle = session->Prepare("SELECT COUNT(*) AS c FROM t WHERE v < " + std::to_string(i));
+      ASSERT_TRUE(handle.ok()) << handle.status();
+      mw.Release(*handle);
     }
   };
   rewrite::QueryRequest request;
@@ -353,8 +338,8 @@ TEST_F(MiddlewareTest, BinaryEncodingCheaperThanJson) {
   json_opts.binary_encoding = false;
   Middleware mw_bin(&engine_, binary);
   Middleware mw_json(&engine_, json_opts);
-  auto b = mw_bin.Execute("SELECT * FROM t");
-  auto j = mw_json.Execute("SELECT * FROM t");
+  auto b = RunSql(mw_bin, "SELECT * FROM t");
+  auto j = RunSql(mw_json, "SELECT * FROM t");
   ASSERT_TRUE(b.ok());
   ASSERT_TRUE(j.ok());
   EXPECT_LT(b->bytes, j->bytes);
@@ -370,8 +355,8 @@ TEST_F(MiddlewareTest, RetiredSessionStatsFoldIntoAggregate) {
     {
       auto session = mw.CreateSession();
       // Distinct literal per iteration: every query really runs.
-      auto r = session->Execute("SELECT COUNT(*) AS c FROM t WHERE v < " +
-                                std::to_string(i + 1));
+      auto r = RunSql(mw, "SELECT COUNT(*) AS c FROM t WHERE v < " + std::to_string(i + 1),
+                      session.get());
       ASSERT_TRUE(r.ok()) << r.status();
     }  // session dropped here; its stats must survive
     Middleware::Stats s = mw.stats();
