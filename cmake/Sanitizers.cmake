@@ -32,6 +32,12 @@ function(vegaplus_apply_sanitizers target scope sanitize_list)
     endif()
   endforeach()
 
+  # Clang's `undefined` group includes float-cast-overflow; gcc's leaves it
+  # out. Name it on gcc so both compilers check float-to-int casts.
+  if(("undefined" IN_LIST requested) AND CMAKE_CXX_COMPILER_ID STREQUAL "GNU")
+    list(APPEND requested float-cast-overflow)
+  endif()
+
   string(REPLACE ";" "," joined "${requested}")
   set(flags "-fsanitize=${joined}" -fno-omit-frame-pointer)
   target_compile_options(${target} ${scope} ${flags})

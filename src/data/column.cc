@@ -230,54 +230,64 @@ void Column::Reserve(size_t n) {
   }
 }
 
+namespace {
+
+/// Adopts `validity` (1 = present; empty = all valid) for `values`, resetting
+/// the values under null cells to what AppendNull stores (0, empty string).
+/// Returns the null count.
+template <typename T>
+size_t AdoptValidity(std::vector<T>* values, std::vector<uint8_t> validity,
+                     std::vector<uint8_t>* out) {
+  VP_CHECK(validity.empty() || validity.size() == values->size())
+      << "validity/values length mismatch";
+  if (validity.empty()) {
+    out->assign(values->size(), 1);
+    return 0;
+  }
+  size_t nulls = 0;
+  for (size_t i = 0; i < validity.size(); ++i) {
+    if (validity[i] == 0) {
+      ++nulls;
+      (*values)[i] = T();
+    } else {
+      validity[i] = 1;
+    }
+  }
+  *out = std::move(validity);
+  return nulls;
+}
+
+}  // namespace
+
 Column Column::FromDoubles(std::vector<double> values,
                            std::vector<uint8_t> validity) {
-  VP_CHECK(validity.empty() || validity.size() == values.size())
-      << "validity/values length mismatch";
   Column out(DataType::kFloat64);
   Storage& s = *out.store_;
   out.length_ = values.size();
-  if (validity.empty()) {
-    s.validity.assign(values.size(), 1);
-  } else {
-    size_t nulls = 0;
-    for (size_t i = 0; i < validity.size(); ++i) {
-      if (validity[i] == 0) {
-        ++nulls;
-        values[i] = 0.0;  // normalize the storage under null cells
-      } else {
-        validity[i] = 1;
-      }
-    }
-    out.null_count_ = nulls;
-    s.validity = std::move(validity);
-  }
+  out.null_count_ = AdoptValidity(&values, std::move(validity), &s.validity);
   s.doubles = std::move(values);
+  return out;
+}
+
+Column Column::FromInts(DataType type, std::vector<int64_t> values,
+                        std::vector<uint8_t> validity) {
+  VP_CHECK(type == DataType::kInt64 || type == DataType::kTimestamp ||
+           type == DataType::kBool)
+      << "FromInts: not an integer-backed type";
+  Column out(type);
+  Storage& s = *out.store_;
+  out.length_ = values.size();
+  out.null_count_ = AdoptValidity(&values, std::move(validity), &s.validity);
+  s.ints = std::move(values);
   return out;
 }
 
 Column Column::FromStrings(std::vector<std::string> values,
                            std::vector<uint8_t> validity) {
-  VP_CHECK(validity.empty() || validity.size() == values.size())
-      << "validity/values length mismatch";
   Column out(DataType::kString);
   Storage& s = *out.store_;
   out.length_ = values.size();
-  if (validity.empty()) {
-    s.validity.assign(values.size(), 1);
-  } else {
-    size_t nulls = 0;
-    for (size_t i = 0; i < validity.size(); ++i) {
-      if (validity[i] == 0) {
-        ++nulls;
-        values[i].clear();  // normalize the storage under null cells
-      } else {
-        validity[i] = 1;
-      }
-    }
-    out.null_count_ = nulls;
-    s.validity = std::move(validity);
-  }
+  out.null_count_ = AdoptValidity(&values, std::move(validity), &s.validity);
   s.strings = std::move(values);
   return out;
 }

@@ -88,6 +88,11 @@ class Column {
   static Column FromDoubles(std::vector<double> values,
                             std::vector<uint8_t> validity);
 
+  /// Bulk construction of an integer-backed column: `type` is kInt64,
+  /// kTimestamp or kBool (values 0/1). `validity` as in FromDoubles.
+  static Column FromInts(DataType type, std::vector<int64_t> values,
+                         std::vector<uint8_t> validity);
+
   /// Bulk construction of a flat kString column (used by deserialization and
   /// DecodeFlat so the flat form survives regardless of the kill switch).
   /// `validity` as in FromDoubles; null cells keep empty strings.

@@ -57,6 +57,25 @@ bool GetString(std::string_view in, size_t* pos, std::string* s) {
   return true;
 }
 
+/// The first `n` bits of a packed little-endian bitmap, one byte per bit.
+/// Requires bits.size() * 8 >= n.
+std::vector<uint8_t> UnpackBits(const std::string& bits, size_t n) {
+  std::vector<uint8_t> out(n);
+  for (size_t r = 0; r < n; ++r) {
+    out[r] = static_cast<uint8_t>((static_cast<uint8_t>(bits[r / 8]) >> (r % 8)) & 1);
+  }
+  return out;
+}
+
+/// The `n` fixed-width values stored at in[pos...], copied in one block.
+/// The caller has checked that they lie inside `in`.
+template <typename T>
+std::vector<T> CopyValues(std::string_view in, size_t pos, size_t n) {
+  std::vector<T> out(n);
+  if (n > 0) std::memcpy(out.data(), in.data() + pos, n * sizeof(T));
+  return out;
+}
+
 }  // namespace
 
 json::Value TableToJson(const Table& table) {
@@ -302,26 +321,24 @@ Result<TablePtr> DeserializeBinary(std::string_view buffer) {
   std::vector<Column> columns;
   columns.reserve(num_cols);
   for (uint32_t c = 0; c < num_cols; ++c) {
-    Column col(fields[c].type);
-    col.Reserve(n);
+    // Every column starts with a packed validity bitmap of n bits, so a
+    // bitmap that fits in the buffer also bounds n (and n * 8 below).
     std::string bitmap;
-    if (!GetString(buffer, &pos, &bitmap) || bitmap.size() < (n + 7) / 8) {
+    if (!GetString(buffer, &pos, &bitmap) || bitmap.size() * 8 < n) {
       return Status::ParseError("binary table: truncated validity");
     }
-    auto is_valid = [&](size_t r) {
-      return (bitmap[r / 8] >> (r % 8)) & 1;
-    };
+    std::vector<uint8_t> validity = UnpackBits(bitmap, n);
+    Column col(fields[c].type);
     switch (fields[c].type) {
       case DataType::kBool: {
         std::string bits;
-        if (!GetString(buffer, &pos, &bits)) return Status::ParseError("truncated bools");
-        for (size_t r = 0; r < n; ++r) {
-          if (!is_valid(r)) {
-            col.AppendNull();
-          } else {
-            col.AppendBool((bits[r / 8] >> (r % 8)) & 1);
-          }
+        if (!GetString(buffer, &pos, &bits) || bits.size() * 8 < n) {
+          return Status::ParseError("truncated bools");
         }
+        const std::vector<uint8_t> set = UnpackBits(bits, n);
+        col = Column::FromInts(DataType::kBool,
+                               std::vector<int64_t>(set.begin(), set.end()),
+                               std::move(validity));
         break;
       }
       case DataType::kInt64:
@@ -330,15 +347,8 @@ Result<TablePtr> DeserializeBinary(std::string_view buffer) {
         if (!GetU64(buffer, &pos, &len) || pos + len > buffer.size() || len != n * 8) {
           return Status::ParseError("truncated ints");
         }
-        for (size_t r = 0; r < n; ++r) {
-          int64_t v;
-          std::memcpy(&v, buffer.data() + pos + r * 8, 8);
-          if (!is_valid(r)) {
-            col.AppendNull();
-          } else {
-            col.AppendInt(v);
-          }
-        }
+        col = Column::FromInts(fields[c].type, CopyValues<int64_t>(buffer, pos, n),
+                               std::move(validity));
         pos += len;
         break;
       }
@@ -347,15 +357,8 @@ Result<TablePtr> DeserializeBinary(std::string_view buffer) {
         if (!GetU64(buffer, &pos, &len) || pos + len > buffer.size() || len != n * 8) {
           return Status::ParseError("truncated doubles");
         }
-        for (size_t r = 0; r < n; ++r) {
-          double v;
-          std::memcpy(&v, buffer.data() + pos + r * 8, 8);
-          if (!is_valid(r)) {
-            col.AppendNull();
-          } else {
-            col.AppendDouble(v);
-          }
-        }
+        col = Column::FromDoubles(CopyValues<double>(buffer, pos, n),
+                                  std::move(validity));
         pos += len;
         break;
       }
@@ -375,8 +378,8 @@ Result<TablePtr> DeserializeBinary(std::string_view buffer) {
               len != (static_cast<uint64_t>(dict_size) + 1) * 4) {
             return Status::ParseError("truncated dictionary offsets");
           }
-          std::vector<uint32_t> offsets(dict_size + 1);
-          std::memcpy(offsets.data(), buffer.data() + pos, len);
+          const std::vector<uint32_t> offsets =
+              CopyValues<uint32_t>(buffer, pos, dict_size + size_t{1});
           pos += len;
           std::string bytes;
           if (!GetString(buffer, &pos, &bytes)) {
@@ -397,12 +400,10 @@ Result<TablePtr> DeserializeBinary(std::string_view buffer) {
               len != n * 4) {
             return Status::ParseError("truncated codes");
           }
-          std::vector<int32_t> codes(n);
-          std::memcpy(codes.data(), buffer.data() + pos, len);
+          std::vector<int32_t> codes = CopyValues<int32_t>(buffer, pos, n);
           pos += len;
           for (size_t r = 0; r < n; ++r) {
-            const bool valid = is_valid(r);
-            if (valid != (codes[r] >= 0) ||
+            if ((validity[r] != 0) != (codes[r] >= 0) ||
                 codes[r] >= static_cast<int32_t>(dict_size)) {
               return Status::ParseError("code/validity mismatch");
             }
@@ -416,17 +417,14 @@ Result<TablePtr> DeserializeBinary(std::string_view buffer) {
             len != (n + 1) * 4) {
           return Status::ParseError("truncated offsets");
         }
-        std::vector<uint32_t> offsets(n + 1);
-        std::memcpy(offsets.data(), buffer.data() + pos, len);
+        const std::vector<uint32_t> offsets = CopyValues<uint32_t>(buffer, pos, n + 1);
         pos += len;
         std::string bytes;
         if (!GetString(buffer, &pos, &bytes)) return Status::ParseError("truncated strings");
         // Rebuild flat (the payload dictates the form, not the switch).
         std::vector<std::string> values(n);
-        std::vector<uint8_t> validity(n);
         for (size_t r = 0; r < n; ++r) {
-          if (is_valid(r)) {
-            validity[r] = 1;
+          if (validity[r]) {
             values[r].assign(bytes, offsets[r], offsets[r + 1] - offsets[r]);
           }
         }
@@ -434,6 +432,7 @@ Result<TablePtr> DeserializeBinary(std::string_view buffer) {
         break;
       }
       case DataType::kNull: {
+        col.Reserve(n);
         for (size_t r = 0; r < n; ++r) col.AppendNull();
         break;
       }

@@ -8,6 +8,7 @@
 #include <functional>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -633,6 +634,27 @@ Vec NumUnary(const Vec& a, size_t n, F f) {
   return out;
 }
 
+/// A date function of a numeric register: null where the input is null or
+/// names no date (TsMillis), `f(millis)` elsewhere — the interpreter's rule.
+template <typename F>
+Vec DateUnary(const Vec& a, size_t n, F f) {
+  Vec out;
+  out.kind = RegKind::kNum;
+  out.is_const = a.is_const;
+  const size_t m = OutLen(out.is_const, n);
+  out.num.resize(m);
+  out.valid.assign(m, 0);
+  const NumView va = View(a);
+  for (size_t i = 0; i < m; ++i) {
+    if (va.valid != nullptr && !va.valid[i * va.stride]) continue;
+    if (const std::optional<int64_t> ms = TsMillis(va.v[i * va.stride])) {
+      out.num[i] = f(*ms);
+      out.valid[i] = 1;
+    }
+  }
+  return out;
+}
+
 Vec StrTransform(const Vec& a, size_t n, bool to_lower) {
   Vec out;
   out.kind = RegKind::kStr;
@@ -1023,24 +1045,24 @@ Vec BatchEvaluator::Run(const Program& p) const {
       case VecOp::kCallDatePart: {
         Vec a = pop();
         DatePart part = static_cast<DatePart>(instr.imm);
-        stack.push_back(NumUnary(a, n, [part](double x) {
-          return static_cast<double>(ApplyDatePart(part, static_cast<int64_t>(x)));
+        stack.push_back(DateUnary(a, n, [part](int64_t ms) {
+          return static_cast<double>(ApplyDatePart(part, ms));
         }));
         break;
       }
       case VecOp::kCallDateTrunc: {
         Vec a = pop();
         const std::string& unit = p.str_consts[static_cast<size_t>(instr.imm)];
-        stack.push_back(NumUnary(a, n, [&unit](double x) {
-          return static_cast<double>(TsTruncate(static_cast<int64_t>(x), unit));
+        stack.push_back(DateUnary(a, n, [&unit](int64_t ms) {
+          return static_cast<double>(TsTruncate(ms, unit));
         }));
         break;
       }
       case VecOp::kCallDateUnitEnd: {
         Vec a = pop();
         const std::string& unit = p.str_consts[static_cast<size_t>(instr.imm)];
-        stack.push_back(NumUnary(a, n, [&unit](double x) {
-          int64_t start = TsTruncate(static_cast<int64_t>(x), unit);
+        stack.push_back(DateUnary(a, n, [&unit](int64_t ms) {
+          int64_t start = TsTruncate(ms, unit);
           return static_cast<double>(start + TsUnitWidth(start, unit));
         }));
         break;

@@ -142,5 +142,26 @@ NodePtr BindSignals(const NodePtr& node, const SignalResolver& signals) {
   return Binder(signals).Bind(node);
 }
 
+NodePtr FoldConstantCalls(const NodePtr& node) {
+  if (!node || node->kind == NodeKind::kLiteral) return node;
+  if (node->kind == NodeKind::kCall && !ReadsDatum(node) && Validate(node).ok()) {
+    EvalValue v = Evaluate(node, EvalContext());
+    return v.is_array() ? node : Node::Literal(v.scalar());
+  }
+  Node folded = *node;
+  bool changed = false;
+  for (NodePtr* child : {&folded.a, &folded.b, &folded.c}) {
+    NodePtr f = FoldConstantCalls(*child);
+    changed = changed || f != *child;
+    *child = std::move(f);
+  }
+  for (NodePtr& arg : folded.args) {
+    NodePtr f = FoldConstantCalls(arg);
+    changed = changed || f != arg;
+    arg = std::move(f);
+  }
+  return changed ? std::make_shared<Node>(std::move(folded)) : node;
+}
+
 }  // namespace expr
 }  // namespace vegaplus

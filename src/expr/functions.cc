@@ -23,6 +23,13 @@ EvalValue Num1(const Args& args, double (*fn)(double)) {
   return EvalValue::Number(fn(v.AsDouble()));
 }
 
+/// The date an argument names (TsMillis), or nullopt for null and non-dates.
+std::optional<int64_t> DateArg(const EvalValue& arg) {
+  data::Value v = NumOrNull(arg);
+  if (v.is_null()) return std::nullopt;
+  return TsMillis(v.AsDouble());
+}
+
 // Extract the civil date fields from epoch millis (UTC).
 struct Civil {
   int64_t year;
@@ -216,9 +223,9 @@ const std::unordered_map<std::string, FunctionDef>& Registry() {
                         const std::string& sql) {
       add({name, 1, 1,
            [fn](const Args& a) {
-             data::Value v = NumOrNull(a[0]);
-             if (v.is_null()) return EvalValue::Null();
-             return EvalValue::Number(static_cast<double>(fn(v.AsInt())));
+             const std::optional<int64_t> ms = DateArg(a[0]);
+             if (!ms) return EvalValue::Null();
+             return EvalValue::Number(static_cast<double>(fn(*ms)));
            },
            sql, true});
     };
@@ -243,19 +250,19 @@ const std::unordered_map<std::string, FunctionDef>& Registry() {
     add({"date_trunc", 2, 2,
          [](const Args& a) {
            if (a[0].is_array() || !a[0].scalar().is_string()) return EvalValue::Null();
-           data::Value v = NumOrNull(a[1]);
-           if (v.is_null()) return EvalValue::Null();
+           const std::optional<int64_t> ms = DateArg(a[1]);
+           if (!ms) return EvalValue::Null();
            return EvalValue(data::Value::Timestamp(
-               TsTruncate(v.AsInt(), a[0].scalar().AsString())));
+               TsTruncate(*ms, a[0].scalar().AsString())));
          },
          "DATE_TRUNC", true});
     add({"date_unit_end", 2, 2,
          [](const Args& a) {
            if (a[0].is_array() || !a[0].scalar().is_string()) return EvalValue::Null();
-           data::Value v = NumOrNull(a[1]);
-           if (v.is_null()) return EvalValue::Null();
+           const std::optional<int64_t> ms = DateArg(a[1]);
+           if (!ms) return EvalValue::Null();
            const std::string& unit = a[0].scalar().AsString();
-           int64_t start = TsTruncate(v.AsInt(), unit);
+           int64_t start = TsTruncate(*ms, unit);
            return EvalValue(data::Value::Timestamp(start + TsUnitWidth(start, unit)));
          },
          "DATE_UNIT_END", true});
@@ -265,9 +272,9 @@ const std::unordered_map<std::string, FunctionDef>& Registry() {
          [](const Args& a) { return EvalValue::String(a[0].ToString()); }, "", false});
     add({"timeFormat", 2, 2,
          [](const Args& a) {
-           data::Value v = NumOrNull(a[0]);
-           if (v.is_null()) return EvalValue::Null();
-           return EvalValue::String(data::FormatTimestamp(v.AsInt()));
+           const std::optional<int64_t> ms = DateArg(a[0]);
+           if (!ms) return EvalValue::Null();
+           return EvalValue::String(data::FormatTimestamp(*ms));
          },
          "", false});
     return m;
@@ -287,6 +294,13 @@ std::vector<std::string> FunctionNames() {
   std::vector<std::string> names;
   for (const auto& [name, def] : Registry()) names.push_back(name);
   return names;
+}
+
+std::optional<int64_t> TsMillis(double millis) {
+  // 8.64e15 ms is 1e8 days either side of the epoch (ECMA-262 TimeClip).
+  constexpr double kMaxDateMillis = 8.64e15;
+  if (!(std::fabs(millis) <= kMaxDateMillis)) return std::nullopt;  // NaN too
+  return static_cast<int64_t>(millis);
 }
 
 int64_t TsYear(int64_t millis) { return ToCivil(millis).year; }

@@ -4,7 +4,9 @@
 #ifndef VEGAPLUS_EXPR_FUNCTIONS_H_
 #define VEGAPLUS_EXPR_FUNCTIONS_H_
 
+#include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,6 +35,14 @@ const FunctionDef* FindFunction(const std::string& name);
 
 /// All registered function names (for docs/tests).
 std::vector<std::string> FunctionNames();
+
+/// `millis` as whole epoch milliseconds (truncated toward zero) when it is a
+/// date: finite and within ±8.64e15 ms, the range of a JavaScript Date,
+/// which Vega's date functions use. NaN, ±Inf and values outside the range
+/// are no date, so every date function of them is null, in the interpreter,
+/// the vector engine and the SQL date functions alike. The bound also keeps
+/// the calendar arithmetic below far from int64 overflow.
+std::optional<int64_t> TsMillis(double millis);
 
 // Date part helpers on epoch-milliseconds (UTC). Used by both the expression
 // evaluator and the SQL engine's date functions so results agree. month and

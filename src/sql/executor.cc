@@ -7,6 +7,7 @@
 #include "common/str_util.h"
 #include "expr/aggregate.h"
 #include "expr/batch_eval.h"
+#include "expr/bind.h"
 #include "expr/evaluator.h"
 #include "storage/reader.h"
 #include "storage/stats.h"
@@ -89,18 +90,18 @@ bool ShardCmpOf(expr::BinaryOp cmp, storage::CmpOp* out) {
   }
 }
 
-/// Scan entry point for shard-backed FROM sources: when the WHERE clause
-/// compiles to a fused AND-of-conjuncts, push the conjuncts into the
+/// Scan entry point for shard-backed FROM sources: when the (folded) WHERE
+/// clause compiles to a fused AND-of-conjuncts, push the conjuncts into the
 /// storage layer so zone maps prune chunks before decode. The surviving
 /// chunks still go through the ordinary FilterRows pass, so pruning only
 /// has to be sound, not exact — and disabling it (EngineConfig) degrades
 /// to a full materializing scan with identical results.
-Result<TablePtr> ShardInput(const storage::Reader& shard, const SelectStmt& stmt,
+Result<TablePtr> ShardInput(const storage::Reader& shard, const NodePtr& where,
                             storage::ScanStats* sstats,
                             const common::CancelToken* cancel) {
-  if (stmt.where != nullptr && expr::VectorizedEnabled() &&
+  if (where != nullptr && expr::VectorizedEnabled() &&
       storage::ZoneMapPruningEnabled()) {
-    if (auto program = Compiler::Compile(stmt.where, shard.schema())) {
+    if (auto program = Compiler::Compile(where, shard.schema())) {
       if (!program->fused_preds.empty()) {
         std::vector<storage::Predicate> preds;
         preds.reserve(program->fused_preds.size());
@@ -289,6 +290,11 @@ Result<TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
     return st;
   };
 
+  // Calls over literals (the rewriter's LEAST/GREATEST brush bounds) fold
+  // once here, so both the shard scan and the row filter see plain
+  // `column <cmp> constant` conjuncts.
+  const NodePtr where = expr::FoldConstantCalls(stmt.where);
+
   // ---- FROM ----
   TablePtr input;
   if (stmt.from.subquery) {
@@ -298,19 +304,17 @@ Result<TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
   } else if (!stmt.from.table_name.empty()) {
     if (std::shared_ptr<storage::Reader> shard =
             catalog.GetShard(stmt.from.table_name)) {
+      // A shard scan counts the rows of the chunks it paged in, before the
+      // chunk row filter; pruned chunks count nothing.
       storage::ScanStats shard_scan;
-      Result<TablePtr> shard_input = ShardInput(*shard, stmt, &shard_scan, cancel);
-      if (!shard_input.ok()) {
-        // Aborted/failed scan: report the rows actually paged in (a full
-        // scan reports the materialized row count below, as before).
-        local.rows_scanned += static_cast<size_t>(shard_scan.rows_scanned);
-        return bail(std::move(shard_input).status());
-      }
+      Result<TablePtr> shard_input = ShardInput(*shard, where, &shard_scan, cancel);
+      local.rows_scanned += static_cast<size_t>(shard_scan.rows_scanned);
+      if (!shard_input.ok()) return bail(std::move(shard_input).status());
       input = std::move(*shard_input);
     } else {
       VP_ASSIGN_OR_RETURN(input, catalog.GetTable(stmt.from.table_name));
+      local.rows_scanned += input->num_rows();
     }
-    local.rows_scanned += input->num_rows();
   } else {
     return Status::InvalidArgument("SQL exec: missing FROM source");
   }
@@ -327,10 +331,10 @@ Result<TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
   // ---- WHERE ----
   std::vector<int32_t> selection;
   selection.reserve(input->num_rows());
-  if (stmt.where) {
+  if (where) {
     ++local.num_operators;
     local.rows_processed += input->num_rows();
-    FilterRows(stmt.where, *input, &selection, cancel);
+    FilterRows(where, *input, &selection, cancel);
     if (common::Fired(cancel)) return bail(cancel->status());
   } else {
     selection.resize(input->num_rows());
@@ -403,7 +407,7 @@ Result<TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
     // Positions into group_of/chunks map to rows of `key_input` through
     // this: table row ids when unfused, the identity when fused.
     const std::vector<int32_t>* acc_rows = &selection;
-    if (stmt.where && selection.size() * 2 < input->num_rows()) {
+    if (where && selection.size() * 2 < input->num_rows()) {
       std::vector<std::string> cols;
       bool projectable = true;
       for (const auto& g : stmt.group_by) {

@@ -18,6 +18,25 @@ std::shared_ptr<const PageInFaultHook> CurrentFaultHook() {
   std::lock_guard<std::mutex> lock(g_fault_hook_mu);
   return g_fault_hook;
 }
+
+/// Appends the cells of column `c` of every chunk to `values`, one block
+/// per chunk, and returns their validity.
+template <typename T>
+std::vector<uint8_t> ConcatCells(const std::vector<data::TablePtr>& chunks, size_t c,
+                                 size_t total, const T* (data::Column::*cells)() const,
+                                 std::vector<T>* values) {
+  std::vector<uint8_t> validity;
+  values->reserve(total);
+  validity.reserve(total);
+  for (const data::TablePtr& t : chunks) {
+    const data::Column& col = t->column(c);
+    const T* v = (col.*cells)();
+    const uint8_t* ok = col.validity_data();
+    values->insert(values->end(), v, v + col.length());
+    validity.insert(validity.end(), ok, ok + col.length());
+  }
+  return validity;
+}
 }  // namespace
 
 void SetPageInFaultHook(PageInFaultHook hook) {
@@ -305,16 +324,8 @@ Result<data::TablePtr> Reader::Concat(
     switch (type) {
       case data::DataType::kFloat64: {
         std::vector<double> values;
-        std::vector<uint8_t> validity;
-        values.reserve(total);
-        validity.reserve(total);
-        for (const data::TablePtr& t : chunks) {
-          const data::Column& col = t->column(c);
-          const double* v = col.doubles_data();
-          const uint8_t* ok = col.validity_data();
-          values.insert(values.end(), v, v + col.length());
-          validity.insert(validity.end(), ok, ok + col.length());
-        }
+        std::vector<uint8_t> validity =
+            ConcatCells(chunks, c, total, &data::Column::doubles_data, &values);
         columns.push_back(
             data::Column::FromDoubles(std::move(values), std::move(validity)));
         break;
@@ -363,37 +374,14 @@ Result<data::TablePtr> Reader::Concat(
         }
         break;
       }
-      case data::DataType::kBool: {
-        data::Column col(type);
-        col.Reserve(total);
-        for (const data::TablePtr& t : chunks) {
-          const data::Column& in = t->column(c);
-          for (size_t r = 0; r < in.length(); ++r) {
-            if (in.IsNull(r)) {
-              col.AppendNull();
-            } else {
-              col.AppendBool(in.BoolAt(r));
-            }
-          }
-        }
-        columns.push_back(std::move(col));
-        break;
-      }
+      case data::DataType::kBool:
       case data::DataType::kInt64:
       case data::DataType::kTimestamp: {
-        data::Column col(type);
-        col.Reserve(total);
-        for (const data::TablePtr& t : chunks) {
-          const data::Column& in = t->column(c);
-          for (size_t r = 0; r < in.length(); ++r) {
-            if (in.IsNull(r)) {
-              col.AppendNull();
-            } else {
-              col.AppendInt(in.IntAt(r));
-            }
-          }
-        }
-        columns.push_back(std::move(col));
+        std::vector<int64_t> values;
+        std::vector<uint8_t> validity =
+            ConcatCells(chunks, c, total, &data::Column::ints_data, &values);
+        columns.push_back(
+            data::Column::FromInts(type, std::move(values), std::move(validity)));
         break;
       }
       case data::DataType::kNull: {

@@ -33,8 +33,6 @@ ColumnZone NumericZone(const data::Column& col) {
   z.null_count = col.null_count();
   const size_t n = col.length();
   const uint8_t* valid = col.validity_data();
-  std::set<double> distinct;
-  bool hint_complete = true;
   auto observe = [&](double v) {
     if (std::isnan(v)) {
       z.has_nan = true;
@@ -46,13 +44,6 @@ ColumnZone NumericZone(const data::Column& col) {
     } else {
       if (v < z.min) z.min = v;
       if (v > z.max) z.max = v;
-    }
-    if (hint_complete) {
-      distinct.insert(v);
-      if (distinct.size() > kMaxZoneDictCodes) {
-        hint_complete = false;
-        distinct.clear();
-      }
     }
   };
   if (col.type() == data::DataType::kFloat64) {
@@ -66,7 +57,6 @@ ColumnZone NumericZone(const data::Column& col) {
       if (valid[i]) observe(static_cast<double>(vals[i]));
     }
   }
-  z.distinct_hint = hint_complete ? static_cast<uint32_t>(distinct.size()) : 0;
   return z;
 }
 
@@ -101,8 +91,6 @@ ColumnZone FlatStringZone(const data::Column& col) {
   const size_t n = col.length();
   const uint8_t* valid = col.validity_data();
   const std::string* vals = col.strings_data();
-  std::set<std::string_view> distinct;
-  bool hint_complete = true;
   for (size_t i = 0; i < n; ++i) {
     if (!valid[i]) continue;
     const std::string& s = vals[i];
@@ -114,15 +102,7 @@ ColumnZone FlatStringZone(const data::Column& col) {
       if (s < z.min_str) z.min_str = s;
       if (s > z.max_str) z.max_str = s;
     }
-    if (hint_complete) {
-      distinct.insert(std::string_view(s));
-      if (distinct.size() > kMaxZoneDictCodes) {
-        hint_complete = false;
-        distinct.clear();
-      }
-    }
   }
-  z.distinct_hint = hint_complete ? static_cast<uint32_t>(distinct.size()) : 0;
   // A truncated min is still a valid lower bound. A truncated max is not a
   // valid upper bound, so record "unbounded above" instead.
   if (z.min_str.size() > kMaxZoneStringBytes) z.min_str.resize(kMaxZoneStringBytes);

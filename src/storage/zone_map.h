@@ -60,8 +60,9 @@ struct ColumnZone {
 
   Kind kind = Kind::kNone;
   uint64_t null_count = 0;
-  /// Distinct-value hint (capped, see ComputeZone); 0 = unknown. Advisory
-  /// only — pruning never depends on it.
+  /// Distinct-value count of a complete kDictCodes zone (codes.size());
+  /// 0 = unknown, which every other zone reports. Advisory only — pruning
+  /// never depends on it.
   uint32_t distinct_hint = 0;
 
   // kNumeric: min/max over valid, non-NaN cells (as double).

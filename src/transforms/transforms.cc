@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 
 #include "common/parallel.h"
 #include "common/str_util.h"
@@ -534,13 +535,14 @@ Result<EvalResult> TimeunitOp::Evaluate(const TablePtr& input,
   u0.Reserve(input->num_rows());
   u1.Reserve(input->num_rows());
   for (size_t r = 0; r < input->num_rows(); ++r) {
-    double v = col != nullptr ? col->NumericAt(r) : std::nan("");
-    if (std::isnan(v)) {
+    const std::optional<int64_t> ms =
+        col != nullptr ? expr::TsMillis(col->NumericAt(r)) : std::nullopt;
+    if (!ms) {
       u0.AppendNull();
       u1.AppendNull();
       continue;
     }
-    int64_t start = expr::TsTruncate(static_cast<int64_t>(v), params_.unit);
+    int64_t start = expr::TsTruncate(*ms, params_.unit);
     u0.AppendInt(start);
     u1.AppendInt(start + expr::TsUnitWidth(start, params_.unit));
   }

@@ -165,10 +165,20 @@ inline std::vector<std::string> BuildExprCorpus() {
     corpus.push_back(std::string(fn) + "(datum.dd)");
     corpus.push_back(std::string(fn) + "(datum.ii / 3)");
   }
+  // Date functions, also of values that name no date (null in both
+  // engines): NaN and ±Inf in datum.dd, finite values past ±8.64e15 ms
+  // (datum.ii * 1e15 straddles it) and past the int64 range.
   for (const char* fn :
        {"year", "month", "date", "day", "hours", "minutes", "seconds"}) {
     corpus.push_back(std::string(fn) + "(datum.tt)");
     corpus.push_back(std::string(fn) + "(datum.dd)");
+    corpus.push_back(std::string(fn) + "(datum.ii * 1e15)");
+    corpus.push_back(std::string(fn) + "(datum.dd * 1e300)");
+  }
+  for (const char* arg : {"datum.ii * 1e15", "datum.dd * 1e17", "datum.dd * 1e300",
+                          "8.64e15", "-8.64e15", "8.640000000000001e15"}) {
+    corpus.push_back(std::string("date_trunc('week', ") + arg + ")");
+    corpus.push_back(std::string("date_unit_end('year', ") + arg + ")");
   }
   corpus.insert(corpus.end(), {
       "pow(datum.dd, 2)",

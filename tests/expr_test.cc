@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <optional>
+
 #include "data/csv.h"
 #include "data/table.h"
 #include "expr/evaluator.h"
@@ -167,6 +170,22 @@ TEST(ExprEvalTest, DateFunctions) {
   EXPECT_DOUBLE_EQ(EvalOn("seconds(ts)", nullptr, &signals).AsDouble(), 6);
   // 2001-02-03 was a Saturday.
   EXPECT_DOUBLE_EQ(EvalOn("day(ts)", nullptr, &signals).AsDouble(), 6);
+}
+
+// A date is finite and within ±8.64e15 ms, as for a JavaScript Date; the
+// date functions of anything else (NaN, ±Inf, far out of range) are null.
+TEST(ExprEvalTest, DateFunctionsOfNonDatesAreNull) {
+  EXPECT_DOUBLE_EQ(Eval("year(8.64e15)").AsDouble(), 275760);
+  EXPECT_DOUBLE_EQ(Eval("year(-8.64e15)").AsDouble(), -271821);
+  for (const char* text :
+       {"year(log(-1))", "month(exp(1000))", "date(-exp(1000))",
+        "hours(8.640000000000001e15)", "seconds(-1e19)", "day(1e300)",
+        "date_trunc('year', -1e19)", "date_unit_end('month', 9.3e18)",
+        "timeFormat(exp(1000), '%Y')"}) {
+    EXPECT_TRUE(Eval(text).is_null()) << text;
+  }
+  EXPECT_FALSE(TsMillis(std::nan("")).has_value());
+  EXPECT_EQ(TsMillis(-1.9), std::optional<int64_t>(-1));
 }
 
 TEST(ExprFunctionsTest, TruncateAndUnitWidth) {

@@ -581,6 +581,54 @@ TEST_P(VectorEngineDiffTest, FilterAndFormulaOpsBindSignals) {
   }
 }
 
+// WHERE clauses with calls over literals, as the SQL executor folds them:
+// the folded tree keeps the rows the interpreter keeps on the original, and
+// the rewriter's LEAST/GREATEST brush becomes a fused AND-chain.
+TEST_P(VectorEngineDiffTest, FoldedConstantCallsMatchInterpreter) {
+  TablePtr table = MakeRandomTable(GetParam() * 37 + 5);
+  const char* const brush =
+      "datum.dd >= min(12.5, -3.5) && datum.dd <= max(12.5, -3.5)";
+  const char* const corpus[] = {
+      brush,
+      "datum.dd >= min(null, 3) && datum.dd <= max(null, 3)",
+      "datum.tt >= date_trunc('month', 1000000000000) && "
+      "datum.tt < date_unit_end('year', 1000000000000)",
+      "datum.ii == year(0) - 1970 + month(0)",
+      "datum.dd > year(1e300) || datum.dd < year(log(-1))",
+      "datum.ss == lower('MID') || datum.sc == 'cat_' + toString(abs(-3))",
+      "inrange(datum.dd, [min(3, 1), max(3, 1)])",
+      "datum.dd < length([1, 2, 3]) + span([1, 5])",
+      "datum.dd > abs(some_signal)",
+      "datum.dd > pow(2, clamp(datum.ii, 0, 3))",
+  };
+  size_t fallback = 0;
+  for (const char* text : corpus) {
+    auto parsed = expr::ParseExpression(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    const expr::NodePtr folded = expr::FoldConstantCalls(*parsed);
+    const std::string where = std::string(text) + " folded to " + expr::ToString(folded);
+    const expr::MapSignalResolver no_signals;
+    const Reference ref = Interpret(*parsed, *table, no_signals);
+    EXPECT_EQ(Interpret(folded, *table, no_signals).selected, ref.selected) << where;
+    auto program = expr::Compiler::Compile(folded, table->schema());
+    if (!program) {
+      ++fallback;  // `inrange` over an array stays on the interpreter
+      continue;
+    }
+    std::vector<int32_t> sel;
+    expr::BatchEvaluator(*table).RunFilter(*program, &sel);
+    EXPECT_EQ(sel, ref.selected) << where;
+    if (text == brush) {
+      EXPECT_EQ(program->fused_preds.size(), 2u) << where;
+    }
+  }
+  EXPECT_EQ(fallback, 1u);
+  // A call the interpreter cannot validate stays for Validate to report.
+  auto unknown = expr::ParseExpression("datum.dd > no_such_fn(1)");
+  ASSERT_TRUE(unknown.ok());
+  EXPECT_EQ(expr::FoldConstantCalls(*unknown), *unknown);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, VectorEngineDiffTest,
                          ::testing::Values(1u, 2u, 3u, 4u),
                          [](const ::testing::TestParamInfo<uint64_t>& info) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+
 #include "common/random.h"
 #include "data/ipc.h"
 
@@ -46,6 +51,81 @@ TEST(BinaryIpcTest, RejectsTruncation) {
   for (size_t cut : {size_t{4}, size_t{10}, buf.size() / 2}) {
     EXPECT_FALSE(DeserializeBinary(buf.substr(0, cut)).ok()) << "cut=" << cut;
   }
+}
+
+/// Fixed-width columns with nulls at irregular rows (and a whole null byte
+/// of the bitmap), edge values in the valid cells, and NaN/±Inf/-0.0.
+TablePtr NullableFixedWidthTable(size_t rows) {
+  Column f(DataType::kFloat64), i(DataType::kInt64), t(DataType::kTimestamp),
+      b(DataType::kBool);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {std::nan(""), -0.0, inf, -inf, 2.5};
+  for (size_t r = 0; r < rows; ++r) {
+    if (r % 3 == 1 || (r >= 8 && r < 16)) {
+      f.AppendNull();
+      i.AppendNull();
+      t.AppendNull();
+      b.AppendNull();
+      continue;
+    }
+    f.AppendDouble(specials[r % 5] * static_cast<double>(r));
+    i.AppendInt(r % 2 == 0 ? INT64_MIN + static_cast<int64_t>(r)
+                           : INT64_MAX - static_cast<int64_t>(r));
+    t.AppendInt(-86400000LL + static_cast<int64_t>(r) * 1000);
+    b.AppendBool(r % 4 == 0);
+  }
+  std::vector<Column> cols = {f, i, t, b};
+  return std::make_shared<Table>(Schema({{"f", DataType::kFloat64},
+                                         {"i", DataType::kInt64},
+                                         {"t", DataType::kTimestamp},
+                                         {"b", DataType::kBool}}),
+                                 std::move(cols));
+}
+
+// The bulk decode keeps every cell bit for bit, nulls where they were, and
+// zeros under them, as AppendNull stores them.
+TEST(BinaryIpcTest, BulkDecodeRoundTripsNullsInFixedWidthColumns) {
+  TablePtr t = NullableFixedWidthTable(1000);
+  auto r = DeserializeBinary(SerializeBinary(*t));
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_TRUE(t->Equals(**r));
+  for (size_t c = 0; c < t->num_columns(); ++c) {
+    const Column& want = t->column(c);
+    const Column& got = (*r)->column(c);
+    ASSERT_EQ(got.null_count(), want.null_count()) << c;
+    ASSERT_EQ(std::memcmp(got.validity_data(), want.validity_data(), want.length()), 0);
+    const void* want_cells = want.type() == DataType::kFloat64
+                                 ? static_cast<const void*>(want.doubles_data())
+                                 : static_cast<const void*>(want.ints_data());
+    const void* got_cells = got.type() == DataType::kFloat64
+                                ? static_cast<const void*>(got.doubles_data())
+                                : static_cast<const void*>(got.ints_data());
+    EXPECT_EQ(std::memcmp(got_cells, want_cells, want.length() * 8), 0) << c;
+  }
+}
+
+// Every proper prefix of a payload fails to decode, and so does a row count
+// that the validity bitmaps cannot hold or a bool payload shorter than it.
+TEST(BinaryIpcTest, BulkDecodeRejectsTruncationAndOversizedCounts) {
+  const std::string buf = SerializeBinary(*NullableFixedWidthTable(37));
+  for (size_t cut = 0; cut < buf.size(); ++cut) {
+    ASSERT_FALSE(DeserializeBinary(buf.substr(0, cut)).ok()) << "cut=" << cut;
+  }
+  for (uint64_t rows : {uint64_t{38}, uint64_t{1} << 61, ~uint64_t{0}}) {
+    std::string bad = buf;
+    std::memcpy(&bad[8], &rows, 8);  // after the magic and the column count
+    EXPECT_FALSE(DeserializeBinary(bad).ok()) << "rows=" << rows;
+  }
+  // One bool column of 24 rows whose value bits claim one byte of three.
+  Column b(DataType::kBool);
+  for (int r = 0; r < 24; ++r) b.AppendBool(true);
+  std::vector<Column> cols = {b};
+  std::string bools =
+      SerializeBinary(Table(Schema({{"b", DataType::kBool}}), std::move(cols)));
+  const uint32_t short_len = 1;
+  std::memcpy(&bools[bools.size() - 7], &short_len, 4);
+  bools.resize(bools.size() - 2);
+  EXPECT_FALSE(DeserializeBinary(bools).ok());
 }
 
 TEST(JsonIpcTest, RoundTripSkipsNullCells) {

@@ -3,6 +3,8 @@
 #include <cmath>
 
 #include "data/csv.h"
+#include "expr/batch_eval.h"
+#include "expr/kernels/kernels.h"
 #include "sql/engine.h"
 
 namespace vegaplus {
@@ -233,6 +235,49 @@ TEST_F(SqlExecutorTest, OutputTypesInferred) {
   EXPECT_EQ(t->schema().field(1).type, DataType::kInt64);
   EXPECT_EQ(t->schema().field(2).type, DataType::kFloat64);
   EXPECT_EQ(t->schema().field(3).type, DataType::kString);
+}
+
+// The rewriter's brush form `x BETWEEN LEAST(a, b) AND GREATEST(a, b)`
+// folds to two compares against constants, so an in-memory brush runs the
+// fused compare kernels and keeps the rows the interpreter keeps.
+TEST(SqlBrushTest, LeastGreatestBrushRunsFusedKernels) {
+  data::Column x(DataType::kFloat64);
+  for (int r = 0; r < 1000; ++r) {
+    if (r % 7 == 0) {
+      x.AppendNull();
+    } else {
+      x.AppendDouble(r * 0.5);
+    }
+  }
+  std::vector<data::Column> cols = {x};
+  Engine engine;
+  engine.RegisterTable("t", std::make_shared<data::Table>(
+                                data::Schema({{"x", DataType::kFloat64}}),
+                                std::move(cols)));
+  const char* sql =
+      "SELECT x FROM t WHERE (x BETWEEN LEAST(400, 50) AND GREATEST(400, 50))";
+
+  const uint64_t before = kernels::BitmapSelections();
+  auto fused = engine.Query(sql);
+  ASSERT_TRUE(fused.ok()) << fused.status();
+  EXPECT_GT(kernels::BitmapSelections() - before, 0u);
+
+  expr::SetVectorizedEnabled(false);
+  auto interpreted = engine.Query(sql);
+  expr::SetVectorizedEnabled(true);
+  ASSERT_TRUE(interpreted.ok()) << interpreted.status();
+  EXPECT_TRUE(fused->table->Equals(*interpreted->table));
+
+  std::vector<double> want;
+  for (size_t r = 0; r < x.length(); ++r) {
+    if (!x.IsNull(r) && x.DoubleAt(r) >= 50 && x.DoubleAt(r) <= 400) {
+      want.push_back(x.DoubleAt(r));
+    }
+  }
+  ASSERT_EQ(fused->table->num_rows(), want.size());
+  for (size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(fused->table->ValueAt(r, "x"), Value::Double(want[r]));
+  }
 }
 
 }  // namespace

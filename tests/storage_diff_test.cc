@@ -8,6 +8,7 @@
 // `concurrency` (TSan CI).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -195,6 +196,15 @@ const char* kShardQueries[] = {
     "SELECT ss, dd FROM t WHERE dd IS NOT NULL ORDER BY dd DESC, ss "
     "LIMIT 25 OFFSET 5",
     "SELECT MONTH(tt) AS m, COUNT(*) AS n FROM t GROUP BY MONTH(tt) ORDER BY m",
+    // The rewriter's brush form: forward and reversed bounds, a NULL bound,
+    // a range outside the domain, and two brushes at once.
+    "SELECT * FROM t WHERE (dd BETWEEN LEAST(-3.5, 12.5) AND GREATEST(-3.5, 12.5))",
+    "SELECT * FROM t WHERE (ii BETWEEN LEAST(5, -2) AND GREATEST(5, -2))",
+    "SELECT * FROM t WHERE (dd BETWEEN LEAST(NULL, 3) AND GREATEST(NULL, 3))",
+    "SELECT * FROM t WHERE (dd BETWEEN LEAST(900, 1000) AND GREATEST(900, 1000))",
+    "SELECT ii, COUNT(*) AS n FROM t WHERE (tt BETWEEN LEAST(1000000000000, "
+    "950000000000) AND GREATEST(1000000000000, 950000000000)) AND (dd BETWEEN "
+    "LEAST(0, 40) AND GREATEST(0, 40)) GROUP BY ii ORDER BY ii",
 };
 
 class StorageDiffTest : public ::testing::Test {
@@ -271,6 +281,14 @@ TEST_F(StorageDiffTest, SelectiveBrushPrunesChunksWithZeroDivergence) {
       "SELECT * FROM c WHERE x > 19900 AND v >= 0",
       "SELECT COUNT(*) AS n FROM c WHERE cat = 'run_0'",
       "SELECT COUNT(*) AS n FROM c WHERE cat = 'absent_category'",
+      // The rewriter's brush form, forward and reversed, beside a second
+      // conjunct, and outside the domain.
+      "SELECT COUNT(*) AS n, SUM(v) AS s FROM c "
+      "WHERE (x BETWEEN LEAST(100, 600) AND GREATEST(100, 600))",
+      "SELECT * FROM c WHERE (x BETWEEN LEAST(19950, 19000) AND GREATEST(19950, 19000))",
+      "SELECT COUNT(*) AS n FROM c "
+      "WHERE (x BETWEEN LEAST(4000, 2500) AND GREATEST(4000, 2500)) AND v >= 0",
+      "SELECT * FROM c WHERE (x BETWEEN LEAST(50000, 40000) AND GREATEST(50000, 40000))",
   };
   for (const char* sql : brushes) {
     (*reader)->EvictAll();
@@ -294,6 +312,62 @@ TEST_F(StorageDiffTest, SelectiveBrushPrunesChunksWithZeroDivergence) {
     EXPECT_GT(pruned_delta, 0u) << sql;
     ASSERT_TRUE(on->Equals(*off)) << sql;
     ASSERT_TRUE(on->Equals(*want)) << sql;
+  }
+  // A NULL bound selects nothing, on the shard as in memory. (A compare
+  // with a null constant is not fused, so zone maps do not see it.)
+  const char* null_bound =
+      "SELECT COUNT(*) AS n FROM c WHERE (x BETWEEN LEAST(NULL, 600) AND "
+      "GREATEST(NULL, 600))";
+  TablePtr on = Run(shard, null_bound);
+  TablePtr want = Run(mem, null_bound);
+  ASSERT_NE(on, nullptr);
+  ASSERT_NE(want, nullptr);
+  EXPECT_TRUE(on->Equals(*want));
+  EXPECT_EQ(on->ValueAt(0, "n"), data::Value::Int(0));
+  std::remove(path.c_str());
+}
+
+// A shard query counts as scanned the rows of the chunks it paged in:
+// pruned chunks count nothing, and rows the chunk filter drops still count.
+TEST_F(StorageDiffTest, ShardRowsScannedCountsRowsOfSurvivingChunks) {
+  constexpr size_t kRows = 20000;
+  constexpr size_t kChunkRows = 1024;
+  TablePtr clustered = MakeClusteredTable(kRows);
+  const std::string path = TempPath("clustered_scan.vps");
+  storage::WriteOptions opts;
+  opts.chunk_rows = kChunkRows;
+  ASSERT_TRUE(storage::TableShard::Write(path, *clustered, opts).ok());
+  auto reader = storage::Reader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  sql::Engine shard;
+  ASSERT_TRUE(shard.RegisterShardTable("c", *reader).ok());
+
+  // x is the row index, so a brush over [lo, hi] reaches the chunks from
+  // lo / kChunkRows to hi / kChunkRows.
+  const auto rows_of_chunks = [&](size_t lo, size_t hi) {
+    return std::min(kRows, (hi / kChunkRows + 1) * kChunkRows) -
+           lo / kChunkRows * kChunkRows;
+  };
+  const struct {
+    const char* sql;
+    size_t pruned_rows_scanned;
+  } cases[] = {
+      {"SELECT COUNT(*) AS n FROM c WHERE x >= 100 AND x < 600",
+       rows_of_chunks(100, 599)},
+      {"SELECT COUNT(*) AS n FROM c "
+       "WHERE (x BETWEEN LEAST(3000, 1000) AND GREATEST(3000, 1000))",
+       rows_of_chunks(1000, 3000)},
+      {"SELECT * FROM c WHERE x > 19900", rows_of_chunks(19901, kRows - 1)},
+      {"SELECT * FROM c WHERE x > 50000", 0},
+  };
+  for (const auto& c : cases) {
+    for (bool pruning : {true, false}) {
+      PruningGuard guard(pruning);
+      auto result = shard.Query(c.sql);
+      ASSERT_TRUE(result.ok()) << c.sql << ": " << result.status();
+      EXPECT_EQ(result->stats.rows_scanned, pruning ? c.pruned_rows_scanned : kRows)
+          << c.sql << " pruning=" << pruning;
+    }
   }
   std::remove(path.c_str());
 }
