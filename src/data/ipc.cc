@@ -315,7 +315,11 @@ Result<TablePtr> DeserializeBinary(std::string_view buffer) {
     if (!GetString(buffer, &pos, &fields[c].name) || pos >= buffer.size()) {
       return Status::ParseError("binary table: truncated schema");
     }
-    fields[c].type = static_cast<DataType>(buffer[pos++]);
+    const uint8_t type_byte = static_cast<uint8_t>(buffer[pos++]);
+    if (type_byte > static_cast<uint8_t>(DataType::kTimestamp)) {
+      return Status::ParseError("binary table: unknown column type");
+    }
+    fields[c].type = static_cast<DataType>(type_byte);
   }
   const size_t n = static_cast<size_t>(num_rows);
   std::vector<Column> columns;

@@ -1115,7 +1115,7 @@ namespace {
 struct PredState {
   enum class Kind { kDouble, kInt64, kStrCode, kStrFlat };
   Kind kind = Kind::kDouble;
-  BinaryOp cmp = BinaryOp::kLt;
+  kernels::Cmp cmp = kernels::Cmp::kLt;
   const uint8_t* valid = nullptr;  // nullptr == no nulls
   // kDouble / kInt64
   const double* d = nullptr;
@@ -1176,17 +1176,6 @@ bool PreparePreds(const Program& p,
   return true;
 }
 
-kernels::Cmp KernelCmpOf(BinaryOp cmp) {
-  switch (cmp) {
-    case BinaryOp::kLt: return kernels::Cmp::kLt;
-    case BinaryOp::kLte: return kernels::Cmp::kLte;
-    case BinaryOp::kGt: return kernels::Cmp::kGt;
-    case BinaryOp::kGte: return kernels::Cmp::kGte;
-    case BinaryOp::kEq: return kernels::Cmp::kEq;
-    default: return kernels::Cmp::kNeq;  // only compare ops reach here
-  }
-}
-
 /// Evaluate one prepared leaf into a full-width 0/1 bitmap — the same
 /// semantics as EqNum/CmpNum/EqStr against a non-null constant: null rows
 /// fail every compare except != (which includes them), and NaN rows pass ==
@@ -1194,18 +1183,16 @@ kernels::Cmp KernelCmpOf(BinaryOp cmp) {
 void PredBits(const PredState& s, size_t n, uint8_t* out) {
   switch (s.kind) {
     case PredState::Kind::kDouble:
-      kernels::CompareNumToBits(s.d, s.valid, n, KernelCmpOf(s.cmp), s.c, out);
+      kernels::CompareNumToBits(s.d, s.valid, n, s.cmp, s.c, out);
       return;
     case PredState::Kind::kInt64:
-      kernels::CompareInt64ToBits(s.i64, s.valid, n, KernelCmpOf(s.cmp), s.c,
-                                  out);
+      kernels::CompareInt64ToBits(s.i64, s.valid, n, s.cmp, s.c, out);
       return;
     case PredState::Kind::kStrCode:
-      kernels::CompareCodeToBits(s.codes, n, s.cmp == BinaryOp::kNeq, s.code,
-                                 out);
+      kernels::CompareCodeToBits(s.codes, n, s.cmp == kernels::Cmp::kNeq, s.code, out);
       return;
     case PredState::Kind::kStrFlat:
-      kernels::CompareStrToBits(s.strs, s.valid, n, s.cmp == BinaryOp::kNeq,
+      kernels::CompareStrToBits(s.strs, s.valid, n, s.cmp == kernels::Cmp::kNeq,
                                 *s.sconst, out);
       return;
   }
@@ -1216,19 +1203,16 @@ void PredBits(const PredState& s, size_t n, uint8_t* out) {
 void RefinePred(const PredState& s, std::vector<int32_t>* sel, size_t base) {
   switch (s.kind) {
     case PredState::Kind::kDouble:
-      kernels::RefineNumIndices(s.d, s.valid, KernelCmpOf(s.cmp), s.c, sel,
-                                base);
+      kernels::RefineNumIndices(s.d, s.valid, s.cmp, s.c, sel, base);
       return;
     case PredState::Kind::kInt64:
-      kernels::RefineInt64Indices(s.i64, s.valid, KernelCmpOf(s.cmp), s.c, sel,
-                                  base);
+      kernels::RefineInt64Indices(s.i64, s.valid, s.cmp, s.c, sel, base);
       return;
     case PredState::Kind::kStrCode:
-      kernels::RefineCodeIndices(s.codes, s.cmp == BinaryOp::kNeq, s.code, sel,
-                                 base);
+      kernels::RefineCodeIndices(s.codes, s.cmp == kernels::Cmp::kNeq, s.code, sel, base);
       return;
     case PredState::Kind::kStrFlat:
-      kernels::RefineStrIndices(s.strs, s.valid, s.cmp == BinaryOp::kNeq,
+      kernels::RefineStrIndices(s.strs, s.valid, s.cmp == kernels::Cmp::kNeq,
                                 *s.sconst, sel, base);
       return;
   }
@@ -1349,6 +1333,21 @@ void BatchEvaluator::RunToValues(const Program& p, std::vector<Value>* out) cons
   for (size_t i = 0; i < n; ++i) out->push_back(v.CellValue(i));
 }
 
+std::vector<storage::Predicate> ZonePredicates(const Program& p) {
+  std::vector<storage::Predicate> preds;
+  preds.reserve(p.fused_preds.size());
+  for (const Program::FusedPred& fp : p.fused_preds) {
+    storage::Predicate pred;
+    pred.col = fp.col;
+    pred.cmp = fp.cmp;
+    pred.is_str = fp.is_str;
+    pred.num_const = fp.num_const;
+    if (fp.is_str) pred.str_const = p.str_consts[static_cast<size_t>(fp.str_const)];
+    preds.push_back(std::move(pred));
+  }
+  return preds;
+}
+
 // ---- Morsel-parallel execution ----
 
 namespace {
@@ -1356,20 +1355,6 @@ namespace {
 /// True when a morsel decomposition is worth dispatching at all.
 bool MorselWorthIt(size_t num_morsels) {
   return num_morsels > 1 && parallel::MorselParallelism() > 1;
-}
-
-/// Fused comparison ops map 1:1 onto zone-map ops; anything else (And/Or,
-/// arithmetic) never appears in fused_preds.
-bool ZoneCmpOf(BinaryOp cmp, storage::CmpOp* out) {
-  switch (cmp) {
-    case BinaryOp::kEq: *out = storage::CmpOp::kEq; return true;
-    case BinaryOp::kNeq: *out = storage::CmpOp::kNeq; return true;
-    case BinaryOp::kLt: *out = storage::CmpOp::kLt; return true;
-    case BinaryOp::kLte: *out = storage::CmpOp::kLte; return true;
-    case BinaryOp::kGt: *out = storage::CmpOp::kGt; return true;
-    case BinaryOp::kGte: *out = storage::CmpOp::kGte; return true;
-    default: return false;
-  }
 }
 
 /// Zone-map pruning of whole morsels for a fused AND-of-conjuncts filter:
@@ -1380,9 +1365,9 @@ bool ZoneCmpOf(BinaryOp cmp, storage::CmpOp* out) {
 /// Sound regardless of whether PreparePreds later takes the fused loops or
 /// the general register path: fused_preds is only non-empty when the whole
 /// program is the AND-tree, both paths implement the same per-row
-/// comparison semantics, and ColumnZone::MayMatch* over-approximates them.
-/// Conjuncts whose column type does not line up with the zone kind simply
-/// never prune (MayMatch* returns true on kind mismatch).
+/// comparison semantics, and ColumnZone::MayMatch over-approximates them.
+/// Conjuncts whose form does not line up with the zone kind simply never
+/// prune.
 std::vector<uint8_t> ZoneSkipMorsels(const data::Table& table, const Program& p,
                                      const std::vector<parallel::Range>& morsels) {
   if (p.fused_preds.empty() || morsels.size() < 2 ||
@@ -1391,33 +1376,15 @@ std::vector<uint8_t> ZoneSkipMorsels(const data::Table& table, const Program& p,
   }
   std::vector<uint8_t> skip(morsels.size(), 0);
   size_t pruned = 0;
-  for (const Program::FusedPred& fp : p.fused_preds) {
-    storage::CmpOp cmp;
-    if (!ZoneCmpOf(fp.cmp, &cmp)) continue;
-    if (fp.col < 0 || static_cast<size_t>(fp.col) >= table.num_columns()) continue;
-    const Column& col = table.column(static_cast<size_t>(fp.col));
+  for (const storage::Predicate& pred : ZonePredicates(p)) {
+    if (pred.col < 0 || static_cast<size_t>(pred.col) >= table.num_columns()) continue;
+    const Column& col = table.column(static_cast<size_t>(pred.col));
     const auto zones = storage::GetMorselZones(col, morsels);
-    // Dictionary constants resolve exactly like the fused loop's
-    // DictCodeOf: -2 when absent (so == prunes everywhere, != nowhere
-    // with nulls present).
-    int32_t code = -2;
-    const std::string* sconst = nullptr;
-    if (fp.is_str) {
-      sconst = &p.str_consts[static_cast<size_t>(fp.str_const)];
-      if (col.dict_encoded()) code = DictCodeOf(col.dict(), *sconst);
-    }
+    // Dictionary constants resolve exactly like the fused loop's DictCodeOf.
+    const int32_t code =
+        pred.is_str && col.dict_encoded() ? DictCodeOf(col.dict(), pred.str_const) : -2;
     for (size_t m = 0; m < morsels.size(); ++m) {
-      if (skip[m]) continue;
-      const storage::ColumnZone& z = (*zones)[m];
-      bool may_match = true;
-      if (!fp.is_str) {
-        may_match = z.MayMatchNumeric(cmp, fp.num_const);
-      } else if (col.dict_encoded()) {
-        may_match = z.MayMatchDictCode(cmp, code);
-      } else {
-        may_match = z.MayMatchString(cmp, *sconst);
-      }
-      if (!may_match) {
+      if (!skip[m] && !(*zones)[m].MayMatch(pred, code)) {
         skip[m] = 1;
         ++pruned;
       }

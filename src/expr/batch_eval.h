@@ -19,6 +19,7 @@
 #include "data/table.h"
 #include "expr/compiler.h"
 #include "expr/kernels/kernels.h"
+#include "storage/zone_map.h"
 
 namespace vegaplus {
 namespace expr {
@@ -282,6 +283,13 @@ Vec RunMorselParallel(const data::Table& table, const Program& p,
 void RunFilterMorselParallel(const data::Table& table, const Program& p,
                              std::vector<int32_t>* sel,
                              const common::CancelToken* cancel = nullptr);
+
+/// The zone-map form of a program's fused conjunction (Program::fused_preds),
+/// which both pruning paths test: shard chunks before page-in
+/// (storage::Reader::Scan) and in-memory morsels before their filter run
+/// (RunFilterMorselParallel). Empty unless the program is an AND of fused
+/// compares.
+std::vector<storage::Predicate> ZonePredicates(const Program& p);
 
 /// \brief Hash-grouping over typed key registers.
 struct GroupResult {

@@ -385,17 +385,17 @@ bool MatchFusedCompare(const Program& p, size_t i, Program::FusedPred* out) {
   const Instr& a = p.code[i];
   const Instr& b = p.code[i + 1];
   const Instr& cmp = p.code[i + 2];
-  BinaryOp op;
+  kernels::Cmp op;
   bool is_str = false;
   switch (cmp.op) {
-    case VecOp::kLtNum: op = BinaryOp::kLt; break;
-    case VecOp::kLteNum: op = BinaryOp::kLte; break;
-    case VecOp::kGtNum: op = BinaryOp::kGt; break;
-    case VecOp::kGteNum: op = BinaryOp::kGte; break;
-    case VecOp::kEqNum: op = BinaryOp::kEq; break;
-    case VecOp::kNeqNum: op = BinaryOp::kNeq; break;
-    case VecOp::kEqStr: op = BinaryOp::kEq; is_str = true; break;
-    case VecOp::kNeqStr: op = BinaryOp::kNeq; is_str = true; break;
+    case VecOp::kLtNum: op = kernels::Cmp::kLt; break;
+    case VecOp::kLteNum: op = kernels::Cmp::kLte; break;
+    case VecOp::kGtNum: op = kernels::Cmp::kGt; break;
+    case VecOp::kGteNum: op = kernels::Cmp::kGte; break;
+    case VecOp::kEqNum: op = kernels::Cmp::kEq; break;
+    case VecOp::kNeqNum: op = kernels::Cmp::kNeq; break;
+    case VecOp::kEqStr: op = kernels::Cmp::kEq; is_str = true; break;
+    case VecOp::kNeqStr: op = kernels::Cmp::kNeq; is_str = true; break;
     default: return false;
   }
   const VecOp const_op = is_str ? VecOp::kLoadStrConst : VecOp::kLoadNumConst;
@@ -409,10 +409,10 @@ bool MatchFusedCompare(const Program& p, size_t i, Program::FusedPred* out) {
     cst = &a;
     // Mirror the comparison so the column sits on the left.
     switch (op) {
-      case BinaryOp::kLt: op = BinaryOp::kGt; break;
-      case BinaryOp::kLte: op = BinaryOp::kGte; break;
-      case BinaryOp::kGt: op = BinaryOp::kLt; break;
-      case BinaryOp::kGte: op = BinaryOp::kLte; break;
+      case kernels::Cmp::kLt: op = kernels::Cmp::kGt; break;
+      case kernels::Cmp::kLte: op = kernels::Cmp::kGte; break;
+      case kernels::Cmp::kGt: op = kernels::Cmp::kLt; break;
+      case kernels::Cmp::kGte: op = kernels::Cmp::kLte; break;
       default: break;  // ==/!= are symmetric
     }
   } else {

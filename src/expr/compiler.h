@@ -21,6 +21,7 @@
 
 #include "data/schema.h"
 #include "expr/ast.h"
+#include "expr/kernels/kernels.h"
 
 namespace vegaplus {
 namespace expr {
@@ -112,7 +113,7 @@ struct Program {
   /// looked up once per batch and the row loop compares int32 codes.
   struct FusedPred {
     int32_t col = -1;
-    BinaryOp cmp = BinaryOp::kLt;
+    kernels::Cmp cmp = kernels::Cmp::kLt;
     bool is_str = false;
     double num_const = 0;
     int32_t str_const = -1;  // index into str_consts (is_str only)

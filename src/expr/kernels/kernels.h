@@ -6,9 +6,8 @@
 //
 // The library sits below data/storage/expr/sql/tiles in the module DAG (it
 // depends only on common), so the batch evaluator, the SQL executor's
-// aggregate path, the tile builder, Column::Take, and the storage rerun
-// filter all route their inner loops through one implementation instead of
-// keeping near-copies.
+// aggregate path, the tile builder, and Column::Take all route their inner
+// loops through one implementation instead of keeping near-copies.
 //
 // One body per kernel: branchless, pragma-vectorized loops with no runtime
 // switch. Compares, bitmap logic, conversions, and gathers are exact
@@ -34,10 +33,9 @@ namespace kernels {
 
 // ---- Dispatch observability (style of storage/stats.h) ----
 //
-// Process-global monotone counters, rebased by Middleware::stats() against a
-// construction-time baseline. Selection counters record the density
-// heuristic's choice per filter evaluation (one bump per batch/morsel, not
-// per row).
+// Process-global monotone counters; readers take deltas around the work they
+// measure. Selection counters record the density heuristic's choice per
+// filter evaluation (one bump per batch/morsel/chunk, not per row).
 
 void AddBitmapSelections(uint64_t n);
 uint64_t BitmapSelections();

@@ -112,13 +112,7 @@ Result<QueryResponse> VdtOp::Fetch(const expr::SignalResolver& signals) {
     ticket = service_->Submit(QueryRequest{handle_, params, ++generation_, client_id_});
   }
   pending_ = nullptr;
-  last_params_ = std::move(params);
   return ticket->Await();
-}
-
-Result<std::string> VdtOp::LastSql() const {
-  ParamResolver resolver(last_params_);
-  return expr::FillSqlHoles(sql_template_, resolver);
 }
 
 Result<dataflow::EvalResult> VdtOp::Evaluate(const data::TablePtr& /*input*/,

@@ -70,11 +70,6 @@ class VdtOp : public dataflow::Operator {
 
   const std::string& sql_template() const { return sql_template_; }
 
-  /// The SQL text of the last evaluation, rendered on demand from the
-  /// template and last bound parameters (debug/tracing only — the execution
-  /// path never renders SQL text).
-  Result<std::string> LastSql() const;
-
   /// Interaction generation of the most recent submission.
   uint64_t generation() const { return generation_; }
 
@@ -103,7 +98,6 @@ class VdtOp : public dataflow::Operator {
   uint64_t generation_ = 0;
   QueryTicketPtr pending_;
   std::vector<QueryParam> pending_params_;
-  std::vector<QueryParam> last_params_;
 };
 
 /// \brief Signal VDT: runs a scalar-producing query (extent) and publishes

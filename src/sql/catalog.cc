@@ -32,6 +32,13 @@ Result<data::TablePtr> Catalog::GetTable(const std::string& name) const {
   return it->second.table;
 }
 
+std::shared_ptr<const void> Catalog::Identity(const std::string& name) const {
+  auto it = tables_.find(name);
+  if (it == tables_.end()) return nullptr;
+  if (it->second.shard != nullptr) return it->second.shard;
+  return it->second.table;
+}
+
 std::shared_ptr<storage::Reader> Catalog::GetShard(const std::string& name) const {
   auto it = tables_.find(name);
   return it == tables_.end() ? nullptr : it->second.shard;

@@ -18,10 +18,12 @@ namespace sql {
 /// \brief Table registry with per-table statistics.
 ///
 /// Tables come in two flavors: in-memory (a TablePtr pinned by the entry)
-/// and shard-backed (a storage::Reader over an on-disk columnar shard;
-/// chunks page in on demand and the WHERE path prunes them by zone map
-/// before decode). Both answer GetTable with a plain table, so every
-/// consumer downstream of the scan is storage-agnostic.
+/// and shard-backed (a storage::Reader over an on-disk columnar shard). The
+/// executor scans a shard through its reader (GetShard), which prunes
+/// chunks by zone map, pages the rest in and filters them chunk by chunk.
+/// GetTable answers either flavor with a plain table, but materializes a
+/// shard to do so. Identity names an entry's data without materializing
+/// anything, for caches of derived data such as tile trees.
 class Catalog {
  public:
   /// Register (or replace) a table; computes stats with one full scan.
@@ -38,12 +40,18 @@ class Catalog {
 
   bool HasTable(const std::string& name) const { return tables_.count(name) > 0; }
 
-  /// The whole table. Shard-backed entries materialize every chunk (built
-  /// fresh per call; only chunks are cached, under the reader's budget).
+  /// The whole table. A shard-backed entry pages in and concatenates every
+  /// chunk into a new table on each call (only chunks are cached, under the
+  /// reader's budget).
   Result<data::TablePtr> GetTable(const std::string& name) const;
 
+  /// A stable identity for `name`'s data: the pinned table or the shard
+  /// reader, or nullptr for unknown names. It changes only when the name is
+  /// re-registered, and holding it keeps its address from being reused.
+  std::shared_ptr<const void> Identity(const std::string& name) const;
+
   /// The shard reader behind `name`, or nullptr for in-memory tables and
-  /// unknown names — the scan path branches on this to push predicates down.
+  /// unknown names — the scan path branches on this to scan chunk by chunk.
   std::shared_ptr<storage::Reader> GetShard(const std::string& name) const;
 
   /// Stats for `name`; nullptr if unknown.

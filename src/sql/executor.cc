@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 
 #include "common/parallel.h"
 #include "common/str_util.h"
@@ -10,7 +11,6 @@
 #include "expr/bind.h"
 #include "expr/evaluator.h"
 #include "storage/reader.h"
-#include "storage/stats.h"
 
 namespace vegaplus {
 namespace sql {
@@ -75,54 +75,20 @@ Vec EvalVec(const NodePtr& node, const Table& table,
   return expr::BoxedVec(std::move(values));
 }
 
-/// The fused comparison ops map 1:1 onto zone-map ops; fused_preds never
-/// carries anything else, but an unmappable conjunct is simply not pushed
-/// down (dropping a conjunct from a conjunction only weakens pruning).
-bool ShardCmpOf(expr::BinaryOp cmp, storage::CmpOp* out) {
-  switch (cmp) {
-    case expr::BinaryOp::kEq: *out = storage::CmpOp::kEq; return true;
-    case expr::BinaryOp::kNeq: *out = storage::CmpOp::kNeq; return true;
-    case expr::BinaryOp::kLt: *out = storage::CmpOp::kLt; return true;
-    case expr::BinaryOp::kLte: *out = storage::CmpOp::kLte; return true;
-    case expr::BinaryOp::kGt: *out = storage::CmpOp::kGt; return true;
-    case expr::BinaryOp::kGte: *out = storage::CmpOp::kGte; return true;
-    default: return false;
-  }
-}
-
-/// Scan entry point for shard-backed FROM sources: when the (folded) WHERE
-/// clause compiles to a fused AND-of-conjuncts, push the conjuncts into the
-/// storage layer so zone maps prune chunks before decode. The surviving
-/// chunks still go through the ordinary FilterRows pass, so pruning only
-/// has to be sound, not exact — and disabling it (EngineConfig) degrades
-/// to a full materializing scan with identical results.
-Result<TablePtr> ShardInput(const storage::Reader& shard, const NodePtr& where,
-                            storage::ScanStats* sstats,
-                            const common::CancelToken* cancel) {
-  if (where != nullptr && expr::VectorizedEnabled() &&
-      storage::ZoneMapPruningEnabled()) {
-    if (auto program = Compiler::Compile(where, shard.schema())) {
-      if (!program->fused_preds.empty()) {
-        std::vector<storage::Predicate> preds;
-        preds.reserve(program->fused_preds.size());
-        for (const auto& fp : program->fused_preds) {
-          storage::Predicate pred;
-          if (!ShardCmpOf(fp.cmp, &pred.cmp)) continue;
-          pred.col = fp.col;
-          pred.is_str = fp.is_str;
-          pred.num_const = fp.num_const;
-          if (fp.is_str) {
-            pred.str_const = program->str_consts[static_cast<size_t>(fp.str_const)];
-          }
-          preds.push_back(std::move(pred));
-        }
-        if (!preds.empty()) {
-          return shard.MaterializeMatching(preds, sstats, cancel);
-        }
-      }
+/// Append the row indices of `table` where `pred` is truthy, row at a time
+/// through the scalar interpreter (for expressions the compiler rejects).
+void FilterRowsInterpreted(const NodePtr& pred, const Table& table,
+                           std::vector<int32_t>* keep,
+                           const common::CancelToken* cancel) {
+  EvalContext ctx;
+  ctx.table = &table;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    if ((r & 4095u) == 0 && common::Fired(cancel)) return;
+    ctx.row = r;
+    if (expr::Evaluate(pred, ctx).Truthy()) {
+      keep->push_back(static_cast<int32_t>(r));
     }
   }
-  return shard.ReadAll(cancel, sstats);
 }
 
 /// Append the row indices of `table` where `pred` is truthy: the vectorized
@@ -136,15 +102,33 @@ void FilterRows(const NodePtr& pred, const Table& table, std::vector<int32_t>* k
       return;
     }
   }
-  EvalContext ctx;
-  ctx.table = &table;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    if ((r & 4095u) == 0 && common::Fired(cancel)) return;
-    ctx.row = r;
-    if (expr::Evaluate(pred, ctx).Truthy()) {
-      keep->push_back(static_cast<int32_t>(r));
-    }
-  }
+  FilterRowsInterpreted(pred, table, keep, cancel);
+}
+
+/// Scan a shard-backed FROM source and run the (folded) WHERE clause once,
+/// chunk by chunk, inside the reader's chunk loop: through the compiled
+/// program when it compiles, whose fused conjunction also prunes chunks by
+/// zone map before page-in, and through the interpreter otherwise. The
+/// result is the rows that pass WHERE, in scan order, the same rows
+/// FilterRows selects over the whole table.
+Result<TablePtr> ScanShard(const storage::Reader& shard, const NodePtr& where,
+                           storage::ScanStats* sstats,
+                           const common::CancelToken* cancel) {
+  if (where == nullptr) return shard.ReadAll(cancel, sstats);
+  std::optional<expr::Program> program;
+  if (expr::VectorizedEnabled()) program = Compiler::Compile(where, shard.schema());
+  const std::vector<storage::Predicate> preds =
+      program ? expr::ZonePredicates(*program) : std::vector<storage::Predicate>{};
+  return shard.Scan(
+      preds,
+      [&](const Table& chunk, std::vector<int32_t>* keep) {
+        if (program) {
+          BatchEvaluator(chunk).RunFilter(*program, keep);
+        } else {
+          FilterRowsInterpreted(where, chunk, keep, cancel);
+        }
+      },
+      cancel, sstats);
 }
 
 /// Whether `node` reads the input table only through direct `datum.<name>`
@@ -291,12 +275,21 @@ Result<TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
   };
 
   // Calls over literals (the rewriter's LEAST/GREATEST brush bounds) fold
-  // once here, so both the shard scan and the row filter see plain
+  // once here, so the filter and the zone maps see plain
   // `column <cmp> constant` conjuncts.
   const NodePtr where = expr::FoldConstantCalls(stmt.where);
 
+  // Validate expressions up front (unknown functions etc), before any scan.
+  for (const auto& item : stmt.items) {
+    if (item.expr) VP_RETURN_IF_ERROR(expr::Validate(item.expr));
+    if (item.agg_arg) VP_RETURN_IF_ERROR(expr::Validate(item.agg_arg));
+  }
+  if (stmt.where) VP_RETURN_IF_ERROR(expr::Validate(stmt.where));
+
   // ---- FROM ----
   TablePtr input;
+  // Set for a shard source, whose scan also runs WHERE.
+  std::optional<storage::ScanStats> shard_scan;
   if (stmt.from.subquery) {
     Result<TablePtr> sub = ExecuteSelect(*stmt.from.subquery, catalog, stats, ctx);
     if (!sub.ok()) return std::move(sub).status();
@@ -305,12 +298,12 @@ Result<TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
     if (std::shared_ptr<storage::Reader> shard =
             catalog.GetShard(stmt.from.table_name)) {
       // A shard scan counts the rows of the chunks it paged in, before the
-      // chunk row filter; pruned chunks count nothing.
-      storage::ScanStats shard_scan;
-      Result<TablePtr> shard_input = ShardInput(*shard, where, &shard_scan, cancel);
-      local.rows_scanned += static_cast<size_t>(shard_scan.rows_scanned);
-      if (!shard_input.ok()) return bail(std::move(shard_input).status());
-      input = std::move(*shard_input);
+      // row filter; pruned chunks count nothing.
+      shard_scan.emplace();
+      Result<TablePtr> scanned = ScanShard(*shard, where, &*shard_scan, cancel);
+      local.rows_scanned += static_cast<size_t>(shard_scan->rows_scanned);
+      if (!scanned.ok()) return bail(std::move(scanned).status());
+      input = std::move(*scanned);
     } else {
       VP_ASSIGN_OR_RETURN(input, catalog.GetTable(stmt.from.table_name));
       local.rows_scanned += input->num_rows();
@@ -321,19 +314,15 @@ Result<TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
   ++local.num_operators;
   if (common::Fired(cancel)) return bail(cancel->status());
 
-  // Validate expressions up front (unknown functions etc).
-  for (const auto& item : stmt.items) {
-    if (item.expr) VP_RETURN_IF_ERROR(expr::Validate(item.expr));
-    if (item.agg_arg) VP_RETURN_IF_ERROR(expr::Validate(item.agg_arg));
-  }
-  if (stmt.where) VP_RETURN_IF_ERROR(expr::Validate(stmt.where));
-
-  // ---- WHERE ----
+  // ---- WHERE (one operator over the rows it filtered) ----
   std::vector<int32_t> selection;
-  selection.reserve(input->num_rows());
   if (where) {
     ++local.num_operators;
-    local.rows_processed += input->num_rows();
+    local.rows_processed +=
+        shard_scan ? static_cast<size_t>(shard_scan->rows_scanned) : input->num_rows();
+  }
+  if (where && !shard_scan) {
+    selection.reserve(input->num_rows());
     FilterRows(where, *input, &selection, cancel);
     if (common::Fired(cancel)) return bail(cancel->status());
   } else {

@@ -188,6 +188,10 @@ Status ColumnFile::ParseAndValidate() {
       if (!ColumnZone::Parse(buf, &pos, &z) || pos > dir_end) {
         return Corrupt(path_, "corrupt zone map");
       }
+      // Dictionary zones hold codes of the column's dictionary page.
+      if (z.kind == ColumnZone::Kind::kDictCodes && dicts_[c] == nullptr) {
+        return Corrupt(path_, "dictionary zone without a dictionary page");
+      }
       zones_.push_back(std::move(z));
     }
     chunks_.push_back(ci);

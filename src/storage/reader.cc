@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "expr/kernels/kernels.h"
+#include "common/parallel.h"
 #include "storage/stats.h"
 
 namespace vegaplus {
@@ -127,175 +127,75 @@ Result<data::TablePtr> Reader::Chunk(size_t i) const {
   return table;
 }
 
-Result<data::TablePtr> Reader::ReadAll(const common::CancelToken* cancel,
-                                       ScanStats* stats) const {
-  std::vector<data::TablePtr> chunks;
-  chunks.reserve(file_->num_chunks());
-  for (size_t i = 0; i < file_->num_chunks(); ++i) {
-    // Cancellation checkpoint: abort before paging in / decoding the next
-    // chunk, so an expired deadline stops the scan at chunk granularity.
-    if (common::Fired(cancel)) return cancel->status();
-    VP_ASSIGN_OR_RETURN(data::TablePtr chunk, Chunk(i));
-    if (stats != nullptr) {
-      ++stats->chunks_scanned;
-      stats->rows_scanned += chunk->num_rows();
-    }
-    chunks.push_back(std::move(chunk));
-  }
-  return Concat(chunks);
-}
-
-bool Reader::ChunkPruned(size_t i, const std::vector<Predicate>& preds,
-                         const std::vector<int32_t>& dict_codes) const {
-  for (size_t p = 0; p < preds.size(); ++p) {
-    const Predicate& pred = preds[p];
-    if (pred.col < 0 ||
-        static_cast<size_t>(pred.col) >= file_->schema().num_fields()) {
-      continue;  // unknown column: cannot prune on it
-    }
-    const ColumnZone& zone = file_->zone(i, static_cast<size_t>(pred.col));
-    bool may_match = true;
-    if (!pred.is_str) {
-      may_match = zone.MayMatchNumeric(pred.cmp, pred.num_const);
-    } else if (file_->dict(static_cast<size_t>(pred.col)) != nullptr) {
-      may_match = zone.MayMatchDictCode(pred.cmp, dict_codes[p]);
-    } else {
-      may_match = zone.MayMatchString(pred.cmp, pred.str_const);
-    }
-    // The predicates are a conjunction: one impossible conjunct kills the
-    // whole chunk.
-    if (!may_match) return true;
-  }
-  return false;
-}
-
-Result<data::TablePtr> Reader::MaterializeMatching(
-    const std::vector<Predicate>& preds, ScanStats* stats,
-    const common::CancelToken* cancel) const {
-  const bool prune = ZoneMapPruningEnabled() && !preds.empty();
-
-  // Resolve string constants against the file dictionaries once. An absent
-  // constant resolves to -2, mirroring the expression engine (null cells
-  // carry -1, so == matches nothing and != matches everything).
-  std::vector<int32_t> dict_codes(preds.size(), -2);
-  if (prune) {
-    for (size_t p = 0; p < preds.size(); ++p) {
-      const Predicate& pred = preds[p];
-      if (!pred.is_str || pred.col < 0 ||
-          static_cast<size_t>(pred.col) >= file_->schema().num_fields()) {
+Result<data::TablePtr> Reader::Scan(const std::vector<Predicate>& preds,
+                                    const ChunkFilter& filter,
+                                    const common::CancelToken* cancel,
+                                    ScanStats* stats) const {
+  // Zone-map pruning over the conjunction. A string constant resolves
+  // against its column's dictionary page once (-2 when absent, as in the
+  // expression engine); a conjunct on an unknown column cannot prune.
+  std::vector<const Predicate*> prunable;
+  std::vector<int32_t> dict_codes;
+  if (ZoneMapPruningEnabled()) {
+    for (const Predicate& pred : preds) {
+      if (pred.col < 0 || static_cast<size_t>(pred.col) >= schema().num_fields()) {
         continue;
       }
       const data::DictPtr& dict = file_->dict(static_cast<size_t>(pred.col));
-      if (dict == nullptr) continue;
-      const int32_t code = dict->Find(pred.str_const);
-      dict_codes[p] = code < 0 ? -2 : code;
+      const int32_t code =
+          pred.is_str && dict != nullptr ? dict->Find(pred.str_const) : -2;
+      prunable.push_back(&pred);
+      dict_codes.push_back(code < 0 ? -2 : code);
     }
   }
+  std::vector<size_t> survivors;
+  survivors.reserve(num_chunks());
+  for (size_t i = 0; i < num_chunks(); ++i) {
+    bool may_match = true;
+    for (size_t p = 0; p < prunable.size() && may_match; ++p) {
+      const ColumnZone& zone = file_->zone(i, static_cast<size_t>(prunable[p]->col));
+      may_match = zone.MayMatch(*prunable[p], dict_codes[p]);
+    }
+    if (may_match) survivors.push_back(i);
+  }
+  if (survivors.size() < num_chunks()) AddChunksPruned(num_chunks() - survivors.size());
 
-  std::vector<data::TablePtr> survivors;
-  survivors.reserve(file_->num_chunks());
-  uint64_t pruned = 0;
-  for (size_t i = 0; i < file_->num_chunks(); ++i) {
-    if (prune && ChunkPruned(i, preds, dict_codes)) {
-      ++pruned;
-      continue;
+  // Surviving chunks as morsels: page in, filter, keep. ParallelFor is the
+  // cancellation checkpoint before each chunk.
+  std::vector<data::TablePtr> paged(survivors.size());
+  std::vector<data::TablePtr> kept(survivors.size());
+  std::vector<Status> errors(survivors.size());
+  parallel::ParallelFor(
+      survivors.size(),
+      [&](size_t k) {
+        Result<data::TablePtr> chunk = Chunk(survivors[k]);
+        if (!chunk.ok()) {
+          errors[k] = std::move(chunk).status();
+          return;
+        }
+        paged[k] = std::move(*chunk);
+        if (!filter) {
+          kept[k] = paged[k];
+          return;
+        }
+        std::vector<int32_t> keep;
+        filter(*paged[k], &keep);
+        kept[k] = keep.size() == paged[k]->num_rows() ? paged[k] : paged[k]->Take(keep);
+      },
+      cancel);
+  if (stats != nullptr) {
+    for (const data::TablePtr& chunk : paged) {
+      if (chunk != nullptr) stats->rows_scanned += chunk->num_rows();
     }
-    // Cancellation checkpoint before each page-in; stats are incremental so
-    // an aborted scan reports the chunks/rows it actually touched.
-    if (common::Fired(cancel)) {
-      if (pruned > 0) AddChunksPruned(pruned);
-      if (stats != nullptr) stats->chunks_pruned += pruned;
-      return cancel->status();
-    }
-    VP_ASSIGN_OR_RETURN(data::TablePtr chunk, Chunk(i));
-    if (stats != nullptr) {
-      ++stats->chunks_scanned;
-      stats->rows_scanned += chunk->num_rows();
-    }
-    if (prune) chunk = FilterChunkRows(std::move(chunk), preds, dict_codes);
-    survivors.push_back(std::move(chunk));
   }
-  if (pruned > 0) AddChunksPruned(pruned);
-  if (stats != nullptr) stats->chunks_pruned += pruned;
-  return Concat(survivors);
+  if (common::Fired(cancel)) return cancel->status();
+  for (const Status& st : errors) VP_RETURN_IF_ERROR(st);
+  return Concat(kept);
 }
 
-/// Map a zone-map comparison onto a compare kernel op (same operator set).
-static kernels::Cmp KernelCmpOf(CmpOp cmp) {
-  switch (cmp) {
-    case CmpOp::kEq: return kernels::Cmp::kEq;
-    case CmpOp::kNeq: return kernels::Cmp::kNeq;
-    case CmpOp::kLt: return kernels::Cmp::kLt;
-    case CmpOp::kLte: return kernels::Cmp::kLte;
-    case CmpOp::kGt: return kernels::Cmp::kGt;
-    default: return kernels::Cmp::kGte;
-  }
-}
-
-data::TablePtr Reader::FilterChunkRows(data::TablePtr chunk,
-                                       const std::vector<Predicate>& preds,
-                                       const std::vector<int32_t>& dict_codes) const {
-  const size_t n = chunk->num_rows();
-  if (n == 0) return chunk;
-
-  // Exact row filter over the pushed-down conjunction: AND one compare
-  // bitmap per evaluable predicate. Predicates a kernel cannot evaluate
-  // exactly (string order compares, unknown columns) are skipped — sound
-  // because the scan consumer re-runs the full WHERE over whatever this
-  // returns, so over-approximating can only cost rows carried, never
-  // correctness. Only active when zone-map pruning is on, preserving the
-  // "pruning disabled => identical to ReadAll" contract.
-  std::vector<uint8_t> bits(n, 1);
-  std::vector<uint8_t> tmp(n);
-  bool filtered = false;
-  for (size_t p = 0; p < preds.size(); ++p) {
-    const Predicate& pred = preds[p];
-    if (pred.col < 0 ||
-        static_cast<size_t>(pred.col) >= chunk->num_columns()) {
-      continue;
-    }
-    const data::Column& col = chunk->column(static_cast<size_t>(pred.col));
-    const uint8_t* valid =
-        col.null_count() > 0 ? col.validity_data() : nullptr;
-    const kernels::Cmp cmp = KernelCmpOf(pred.cmp);
-    if (pred.is_str) {
-      if (col.type() != data::DataType::kString ||
-          (pred.cmp != CmpOp::kEq && pred.cmp != CmpOp::kNeq)) {
-        continue;
-      }
-      const bool negate = pred.cmp == CmpOp::kNeq;
-      if (col.dict_encoded()) {
-        kernels::CompareCodeToBits(col.codes_data(), n, negate, dict_codes[p],
-                                   tmp.data());
-      } else {
-        kernels::CompareStrToBits(col.strings_data(), valid, n, negate,
-                                  pred.str_const, tmp.data());
-      }
-    } else {
-      switch (col.type()) {
-        case data::DataType::kFloat64:
-          kernels::CompareNumToBits(col.doubles_data(), valid, n, cmp,
-                                    pred.num_const, tmp.data());
-          break;
-        case data::DataType::kInt64:
-        case data::DataType::kTimestamp:
-        case data::DataType::kBool:
-          kernels::CompareInt64ToBits(col.ints_data(), valid, n, cmp,
-                                      pred.num_const, tmp.data());
-          break;
-        default:
-          continue;
-      }
-    }
-    kernels::AndBits(bits.data(), tmp.data(), n);
-    filtered = true;
-  }
-  if (!filtered) return chunk;
-  const size_t matches = kernels::CountBits(bits.data(), n);
-  if (matches == n) return chunk;
-  std::vector<int32_t> sel;
-  kernels::BitsToIndices(bits.data(), n, 0, &sel);
-  return chunk->Take(sel);
+Result<data::TablePtr> Reader::ReadAll(const common::CancelToken* cancel,
+                                       ScanStats* stats) const {
+  return Scan({}, nullptr, cancel, stats);
 }
 
 void Reader::EvictAll() const {

@@ -4,11 +4,12 @@
 // Chunks page in on first touch (DecodeChunk) and stay resident in an LRU
 // cache bounded by a byte budget (payload size approximates decoded size;
 // the budget is a target, not a hard cap — the chunk being served is always
-// kept). MaterializeMatching prunes chunks whose zones prove no row can pass
-// the conjunction of fused predicates, then concatenates the survivors in
-// chunk order — so downstream execution sees the same rows, in the same
-// order, as a full scan filtered by the same predicates, which keeps pruned
-// and unpruned execution bit-identical.
+// kept). Every scan runs one chunk loop (Scan): chunks whose zones prove no
+// row can pass the caller's conjunction are skipped before page-in, the
+// survivors page in as morsels across the morsel pool, each through the
+// caller's row filter, and the kept rows concatenate in chunk order — so
+// the result is the rows of a full scan that pass the filter, in scan
+// order, at any thread count and with pruning on or off.
 //
 // Thread safety: all methods are safe concurrently. Decoding happens outside
 // the cache lock; two threads racing on the same cold chunk may both decode,
@@ -34,24 +35,17 @@
 namespace vegaplus {
 namespace storage {
 
-/// One fused conjunct, in shard column space. String constants are carried
-/// as strings and resolved against the file's dictionary pages here, so the
-/// same predicate list works across shards with different dictionaries.
-struct Predicate {
-  int32_t col = -1;  ///< Index into the shard schema.
-  CmpOp cmp = CmpOp::kEq;
-  bool is_str = false;
-  double num_const = 0.0;   ///< !is_str
-  std::string str_const;    ///< is_str
-};
+/// Keeps rows of one decoded chunk: appends the ids of the rows to keep, in
+/// ascending order, to `keep`.
+using ChunkFilter =
+    std::function<void(const data::Table& chunk, std::vector<int32_t>* keep)>;
 
-/// Per-call pruning accounting (process-global counters are also bumped).
-/// Updated incrementally, chunk by chunk, so a scan aborted by a fired
-/// CancelToken leaves an honest partial count behind (rows_scanned strictly
-/// below the full-scan total is the observable proof of a mid-scan abort).
+/// Per-call scan accounting (the process-global counters in stats.h count
+/// chunks pruned and paged in). Counts only the chunks a call actually
+/// paged in, so a scan aborted by a fired CancelToken leaves an honest
+/// partial count behind (rows_scanned strictly below the full-scan total is
+/// the observable proof of a mid-scan abort).
 struct ScanStats {
-  uint64_t chunks_scanned = 0;
-  uint64_t chunks_pruned = 0;
   uint64_t rows_scanned = 0;  ///< Rows of chunks paged in (pre row-filter).
 };
 
@@ -90,42 +84,31 @@ class Reader {
   /// Chunk `i`, decoding and caching it on first touch.
   Result<data::TablePtr> Chunk(size_t i) const;
 
-  /// The whole shard as one table (chunk concatenation; built fresh per
-  /// call so out-of-core behavior is honest — only chunks are cached).
-  /// `cancel` is polled before each chunk page-in: a fired token aborts the
-  /// scan with its status, leaving partial counts in `stats`.
+  /// The one chunk loop. Chunks whose zones prove that no row passes the
+  /// conjunction `preds` are skipped before page-in (when
+  /// ZoneMapPruningEnabled(); string constants resolve against the file's
+  /// dictionary pages). The survivors run as morsels on the shared pool
+  /// (parallel::ParallelFor): each task pages its chunk in and, when
+  /// `filter` is set, keeps the rows `filter` selects. The kept rows are
+  /// concatenated in chunk order. `preds` must be implied by `filter`
+  /// (every kept row passes every conjunct); pruning then never changes the
+  /// result. `cancel` is polled before each chunk page-in: a fired token
+  /// aborts the scan with its status, leaving partial counts in `stats`.
+  Result<data::TablePtr> Scan(const std::vector<Predicate>& preds,
+                              const ChunkFilter& filter,
+                              const common::CancelToken* cancel = nullptr,
+                              ScanStats* stats = nullptr) const;
+
+  /// The whole shard as one table: Scan with no predicate and no filter.
+  /// Built fresh per call; only chunks are cached.
   Result<data::TablePtr> ReadAll(const common::CancelToken* cancel = nullptr,
                                  ScanStats* stats = nullptr) const;
-
-  /// The concatenation of chunks whose zones admit the conjunction of
-  /// `preds`, with each surviving chunk row-filtered through the compare
-  /// kernels (exact for numeric and string ==/!= conjuncts; anything a
-  /// kernel cannot evaluate exactly is skipped). Honors the
-  /// ZoneMapPruningEnabled() kill switch (disabled => identical to
-  /// ReadAll). Sound, not exact: the result may still carry non-matching
-  /// rows — callers run the real filter downstream.
-  /// `cancel` is polled before each chunk page-in, as in ReadAll.
-  Result<data::TablePtr> MaterializeMatching(
-      const std::vector<Predicate>& preds, ScanStats* stats = nullptr,
-      const common::CancelToken* cancel = nullptr) const;
 
   /// Drop every resident chunk (tests and benchmarks).
   void EvictAll() const;
 
  private:
   explicit Reader(std::shared_ptr<const ColumnFile> file);
-
-  /// True when `preds` provably reject every row of chunk `i`.
-  bool ChunkPruned(size_t i, const std::vector<Predicate>& preds,
-                   const std::vector<int32_t>& dict_codes) const;
-
-  /// Exact post-prune row filter of one surviving chunk: AND one compare-
-  /// kernel bitmap per evaluable predicate and Take the matching rows
-  /// (returns the chunk unchanged when every row matches or nothing is
-  /// evaluable). Only called when pruning is active.
-  data::TablePtr FilterChunkRows(data::TablePtr chunk,
-                                 const std::vector<Predicate>& preds,
-                                 const std::vector<int32_t>& dict_codes) const;
 
   Result<data::TablePtr> Concat(const std::vector<data::TablePtr>& chunks) const;
 

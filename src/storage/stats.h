@@ -4,8 +4,9 @@
 // for each switch, runtime::EngineConfig snapshots and applies them
 // coherently. Counters are global atomics because chunk pruning happens deep
 // inside the expression engine and the SQL scan path, far from any session
-// object; runtime::Middleware::stats() rebases them against a baseline the
-// same way it rebases circuit-breaker counters.
+// object. Nothing rebases them: readers (benchmarks, tests) take deltas
+// around the work they measure, and concurrent work anywhere in the process
+// counts into the same numbers.
 #ifndef VEGAPLUS_STORAGE_STATS_H_
 #define VEGAPLUS_STORAGE_STATS_H_
 

@@ -133,65 +133,80 @@ ColumnZone ComputeZone(const data::Column& col) {
   return z;
 }
 
-bool ColumnZone::MayMatchNumeric(CmpOp cmp, double c) const {
-  if (kind != Kind::kNumeric) return true;
+namespace {
+
+bool NumericMayMatch(const ColumnZone& z, kernels::Cmp cmp, double c) {
   // A NaN constant: fused == is !(x<NaN) && !(x>NaN), which every valid row
   // passes. Never prune.
   if (std::isnan(c)) return true;
   switch (cmp) {
-    case CmpOp::kLt:
-      return has_finite && min < c;
-    case CmpOp::kLte:
-      return has_finite && min <= c;
-    case CmpOp::kGt:
-      return has_finite && max > c;
-    case CmpOp::kGte:
-      return has_finite && max >= c;
-    case CmpOp::kEq:
+    case kernels::Cmp::kLt:
+      return z.has_finite && z.min < c;
+    case kernels::Cmp::kLte:
+      return z.has_finite && z.min <= c;
+    case kernels::Cmp::kGt:
+      return z.has_finite && z.max > c;
+    case kernels::Cmp::kGte:
+      return z.has_finite && z.max >= c;
+    case kernels::Cmp::kEq:
       // NaN values pass fused == against any constant.
-      return has_nan || (has_finite && min <= c && c <= max);
-    case CmpOp::kNeq:
+      return z.has_nan || (z.has_finite && z.min <= c && c <= z.max);
+    case kernels::Cmp::kNeq:
       // Nulls pass != unconditionally; NaN values fail it.
-      return null_count > 0 || (has_finite && (min < c || max > c));
+      return z.null_count > 0 || (z.has_finite && (z.min < c || z.max > c));
   }
   return true;
 }
 
-bool ColumnZone::MayMatchDictCode(CmpOp cmp, int32_t c_code) const {
-  if (kind != Kind::kDictCodes) return true;
-  if (!codes_complete) return true;
+bool DictCodeMayMatch(const ColumnZone& z, kernels::Cmp cmp, int32_t c_code) {
+  if (!z.codes_complete) return true;
   switch (cmp) {
-    case CmpOp::kEq:
+    case kernels::Cmp::kEq:
       // Nulls (code -1) and absent constants (code -2) never collide with a
       // recorded code (all >= 0), so membership is exact.
-      return std::binary_search(codes.begin(), codes.end(), c_code);
-    case CmpOp::kNeq:
+      return std::binary_search(z.codes.begin(), z.codes.end(), c_code);
+    case kernels::Cmp::kNeq:
       // The fused loop pushes every row whose code differs — including
       // nulls. Prunable only when every row carries exactly c_code.
-      if (null_count > 0) return true;
-      if (codes.size() != 1) return !codes.empty();
-      return codes[0] != c_code;
+      if (z.null_count > 0) return true;
+      if (z.codes.size() != 1) return !z.codes.empty();
+      return z.codes[0] != c_code;
     default:
       return true;  // Ordered string comparisons are never fused.
   }
 }
 
-bool ColumnZone::MayMatchString(CmpOp cmp, const std::string& c) const {
-  if (kind != Kind::kFlatString) return true;
+bool StringMayMatch(const ColumnZone& z, kernels::Cmp cmp, const std::string& c) {
   switch (cmp) {
-    case CmpOp::kEq:
+    case kernels::Cmp::kEq:
       // Nulls fail flat ==; only the valid-value range matters.
-      return has_values && min_str <= c && (max_unbounded || c <= max_str);
-    case CmpOp::kNeq:
+      return z.has_values && z.min_str <= c && (z.max_unbounded || c <= z.max_str);
+    case kernels::Cmp::kNeq:
       // Nulls pass flat !=. Prunable only when every valid cell equals c
       // exactly and there are no nulls.
-      if (null_count > 0) return true;
-      if (!has_values) return false;  // zero rows: nothing can match
-      if (max_unbounded) return true;
-      return min_str != max_str || min_str != c;
+      if (z.null_count > 0) return true;
+      if (!z.has_values) return false;  // zero rows: nothing can match
+      if (z.max_unbounded) return true;
+      return z.min_str != z.max_str || z.min_str != c;
     default:
       return true;
   }
+}
+
+}  // namespace
+
+bool ColumnZone::MayMatch(const Predicate& pred, int32_t dict_code) const {
+  switch (kind) {
+    case Kind::kNumeric:
+      return pred.is_str || NumericMayMatch(*this, pred.cmp, pred.num_const);
+    case Kind::kDictCodes:
+      return !pred.is_str || DictCodeMayMatch(*this, pred.cmp, dict_code);
+    case Kind::kFlatString:
+      return !pred.is_str || StringMayMatch(*this, pred.cmp, pred.str_const);
+    case Kind::kNone:
+      break;
+  }
+  return true;
 }
 
 void ColumnZone::AppendTo(std::string* out) const {

@@ -1,7 +1,7 @@
 // Zone maps: per-chunk (or per-morsel) column summaries that let scans skip
 // regions a fused predicate provably cannot match.
 //
-// Soundness contract — MayMatch* may return true spuriously but must NEVER
+// Soundness contract — MayMatch may return true spuriously but must NEVER
 // return false for a region containing a matching row. "Matching" is defined
 // by the EXACT semantics of the expression engine's fused predicate loops
 // (expr/batch_eval.cc), which differ from naive comparison in three ways the
@@ -31,14 +31,23 @@
 
 #include "common/parallel.h"
 #include "data/column.h"
+#include "expr/kernels/kernels.h"
 
 namespace vegaplus {
 namespace storage {
 
-/// Comparison operators a zone map understands — the subset of
-/// expr::BinaryOp that PreparePreds fuses. Values mirror expr::BinaryOp's
-/// comparison block so the expr-side mapping is a switch, not arithmetic.
-enum class CmpOp : uint8_t { kEq = 0, kNeq = 1, kLt = 2, kLte = 3, kGt = 4, kGte = 5 };
+/// One fused conjunct `column <cmp> constant` (column on the left), in the
+/// column space of the table or shard it filters: the form in which shard
+/// chunks and in-memory morsels are tested against their zones. String
+/// constants (==/!= only) stay strings; each caller resolves them against
+/// the dictionary its zones' codes index.
+struct Predicate {
+  int32_t col = -1;
+  kernels::Cmp cmp = kernels::Cmp::kEq;
+  bool is_str = false;
+  double num_const = 0.0;  ///< !is_str
+  std::string str_const;   ///< is_str
+};
 
 /// Max distinct dictionary codes a zone records before giving up membership
 /// tracking (codes_complete = false => never prune on membership).
@@ -84,16 +93,13 @@ struct ColumnZone {
   std::string max_str;
   bool max_unbounded = false;
 
-  /// Could any row of the region pass a fused numeric `x <cmp> c`?
-  bool MayMatchNumeric(CmpOp cmp, double c) const;
-
-  /// Could any row pass a fused dictionary-code `code <cmp> c_code`?
-  /// `c_code` is the constant resolved against the SAME dictionary the
-  /// region's codes index (-2 = absent). Only kEq/kNeq prune.
-  bool MayMatchDictCode(CmpOp cmp, int32_t c_code) const;
-
-  /// Could any row pass a fused flat-string `s <cmp> c`? Only kEq/kNeq prune.
-  bool MayMatchString(CmpOp cmp, const std::string& c) const;
+  /// Could any row of the region pass `pred`? The zone's kind picks the
+  /// test: numeric min/max, dictionary-code membership, or flat-string
+  /// min/max; a predicate of the other form (string vs numeric) never
+  /// prunes. `dict_code` is pred's string constant resolved against the
+  /// dictionary this zone's codes index (-2 = absent); only kDictCodes
+  /// zones read it. String conjuncts prune on ==/!= only.
+  bool MayMatch(const Predicate& pred, int32_t dict_code) const;
 
   // On-disk (de)serialization for the shard chunk directory.
   void AppendTo(std::string* out) const;

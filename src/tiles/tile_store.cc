@@ -233,7 +233,7 @@ std::shared_ptr<TileStore::Tree> TileStore::BuildTree(
     const TablePtr& table, const std::string& column, bool categorical,
     const common::CancelToken* cancel) const {
   auto tree = std::make_shared<Tree>();
-  tree->source = table;
+  tree->schema = table->schema();
   tree->categorical = categorical;
   tree->unbuildable = true;  // cleared on success
 
@@ -490,14 +490,12 @@ TileStore::TreePtr TileStore::GetOrBuildTree(const std::string& key,
                                              const std::string& table_name,
                                              const std::string& column,
                                              bool categorical,
-                                             const TablePtr& table,
+                                             std::shared_ptr<const void> source,
                                              const common::CancelToken* cancel) {
-  (void)table_name;
-  (void)column;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = trees_.find(key);
-    if (it != trees_.end() && it->second->source == table) {
+    if (it != trees_.end() && it->second->source == source) {
       return it->second;
     }
     if (!options_.build_on_miss) return nullptr;
@@ -507,7 +505,14 @@ TileStore::TreePtr TileStore::GetOrBuildTree(const std::string& key,
     }
     building_.insert(key);
   }
-  std::shared_ptr<Tree> tree = BuildTree(table, column, categorical, cancel);
+  // Only a build reads the table (a shard materializes here, once per tree).
+  Result<TablePtr> table = engine_->catalog().GetTable(table_name);
+  if (!table.ok()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    building_.erase(key);
+    return nullptr;
+  }
+  std::shared_ptr<Tree> tree = BuildTree(*table, column, categorical, cancel);
   if (tree == nullptr) {
     // Build aborted by a fired token. Release the single-flight slot and
     // cache nothing: a leader that dies mid-build must not poison the key —
@@ -517,6 +522,7 @@ TileStore::TreePtr TileStore::GetOrBuildTree(const std::string& key,
     ++stats_.builds_aborted;
     return nullptr;
   }
+  tree->source = std::move(source);
   std::pair<size_t, size_t> spill{0, 0};
   if (!options_.spill_dir.empty() && !tree->unbuildable) {
     spill = SpillTree(key, tree.get());
@@ -546,15 +552,14 @@ std::optional<TileAnswer> TileStore::TryAnswer(const SelectStmt& stmt,
     return std::nullopt;
   };
 
-  auto table_r = engine_->catalog().GetTable(shape.table);
-  if (!table_r.ok()) return coverage_miss();
-  TablePtr table = *table_r;
+  std::shared_ptr<const void> source = engine_->catalog().Identity(shape.table);
+  if (source == nullptr) return coverage_miss();
 
   const std::string key =
       TreeKey(shape.table, shape.bin_column, shape.categorical);
   TreePtr tree =
       GetOrBuildTree(key, shape.table, shape.bin_column, shape.categorical,
-                     table, cancel);
+                     std::move(source), cancel);
   if (tree == nullptr || tree->unbuildable) return coverage_miss();
 
   // ---- Level selection ----
@@ -598,16 +603,15 @@ std::optional<TileAnswer> TileStore::TryAnswerCoarser(const SelectStmt& stmt) {
   if (!rewrite::MatchTileShape(stmt, &shape)) return std::nullopt;
   if (shape.categorical) return std::nullopt;  // single level: nothing coarser
 
-  auto table_r = engine_->catalog().GetTable(shape.table);
-  if (!table_r.ok()) return std::nullopt;
-  TablePtr table = *table_r;
+  std::shared_ptr<const void> source = engine_->catalog().Identity(shape.table);
+  if (source == nullptr) return std::nullopt;
 
   // Lookup only — degraded mode must stay cheap, so never build here.
   TreePtr tree;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = trees_.find(TreeKey(shape.table, shape.bin_column, false));
-    if (it == trees_.end() || it->second->source != table) return std::nullopt;
+    if (it == trees_.end() || it->second->source != source) return std::nullopt;
     tree = it->second;
   }
   if (tree->unbuildable) return std::nullopt;
@@ -648,7 +652,6 @@ std::optional<TileAnswer> TileStore::AnswerFromLevel(const SelectStmt& stmt,
                                                      const Level& level_ref)
     const {
   const Level* level = &level_ref;
-  const TablePtr& table = tree.source;
 
   // ---- Aggregate-argument availability ----
   for (const TileShape::Item& item : shape.items) {
@@ -705,7 +708,7 @@ std::optional<TileAnswer> TileStore::AnswerFromLevel(const SelectStmt& stmt,
         t = DataType::kString;
         break;
       case TileShape::Item::Kind::kAggregate:
-        t = TileAggType(item, table->schema());
+        t = TileAggType(item, tree.schema);
         break;
     }
     fields.push_back({sql::DeriveItemName(stmt.items[i], i), t});

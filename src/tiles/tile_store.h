@@ -36,7 +36,10 @@
 // Concurrency: TryAnswer is thread-safe. A missing tree is built by the
 // first requester (single-flight); concurrent requesters for the same tree
 // fall back to base execution instead of blocking. Staleness is detected by
-// TablePtr identity — re-registering a table drops its trees on next probe.
+// catalog identity (sql::Catalog::Identity: the pinned table or the shard
+// reader), which materializes nothing: a probe never reads the base table,
+// only a build does (through Catalog::GetTable), and re-registering a table
+// rebuilds its trees on the next probe.
 #ifndef VEGAPLUS_TILES_TILE_STORE_H_
 #define VEGAPLUS_TILES_TILE_STORE_H_
 
@@ -167,7 +170,9 @@ class TileStore {
   };
 
   struct Tree {
-    data::TablePtr source;  ///< identity snapshot for staleness checks
+    /// Catalog identity of the source at build time (staleness checks).
+    std::shared_ptr<const void> source;
+    data::Schema schema;  ///< the source table's schema
     bool categorical = false;
     bool unbuildable = false;  ///< cached negative: never answers
     std::vector<Level> levels;  ///< numeric: one per zoom; categorical: one
@@ -183,9 +188,13 @@ class TileStore {
                                             const Tree& tree,
                                             const Level& level) const;
 
+  /// The tree for `key` built from the catalog entry whose identity is
+  /// `source`, building it when missing or stale; nullptr when another
+  /// thread is building it, or the build was aborted or could not read the
+  /// table.
   TreePtr GetOrBuildTree(const std::string& key, const std::string& table_name,
                          const std::string& column, bool categorical,
-                         const data::TablePtr& table,
+                         std::shared_ptr<const void> source,
                          const common::CancelToken* cancel);
   /// Returns nullptr when `cancel` fired mid-build (abort — never cached, as
   /// opposed to a completed-but-unbuildable tree, which is a negative cache

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/parallel.h"
 #include "data/ipc.h"
 #include "data/table.h"
 #include "middleware_test_util.h"
@@ -81,6 +82,13 @@ class PageInFaultGuard {
   ~PageInFaultGuard() { storage::SetPageInFaultHook(nullptr); }
 };
 
+// Pin the morsel pool's parallelism for one test; restore the default after.
+class ParallelismGuard {
+ public:
+  explicit ParallelismGuard(size_t threads) { parallel::SetMorselParallelism(threads); }
+  ~ParallelismGuard() { parallel::SetMorselParallelism(0); }
+};
+
 // One 4M-row shard shared by the whole suite (written once); every test
 // opens its OWN Reader so chunk-cache state never leaks between tests.
 class CancellationTest : public ::testing::Test {
@@ -132,12 +140,15 @@ TEST_F(CancellationTest, DeadlineAbortsMidScanAtMorselCheckpoint) {
 
   MiddlewareOptions options;
   options.fault_injection = FaultInjectorOptions{};
-  // 2ms per page-in: the full scan needs >120ms of stall, so a 40ms
-  // deadline is guaranteed to fire with the scan genuinely in progress.
+  // 2ms per page-in: >120ms of stall over the whole scan.
   options.fault_injection->rules.push_back(
       FaultRule{"storage:", 0, false, 0, /*stall_ms=*/2.0});
   Middleware mw(&engine, options);
   PageInFaultGuard hook(mw.fault_injector());
+  // Chunks page in as parallel morsels. Two at a time, the full scan needs
+  // >60ms on any machine, so a 40ms deadline is guaranteed to fire with the
+  // scan genuinely in progress.
+  ParallelismGuard two_page_ins(2);
 
   const size_t scanned_before = engine.lifetime_stats().rows_scanned;
   auto handle = mw.Prepare(kCutTemplate);

@@ -128,6 +128,22 @@ TEST(BinaryIpcTest, BulkDecodeRejectsTruncationAndOversizedCounts) {
   EXPECT_FALSE(DeserializeBinary(bools).ok());
 }
 
+TEST(BinaryIpcTest, RejectsUnknownColumnType) {
+  // One 5-row float64 column named "f": its type byte follows the magic, the
+  // column and row counts, and the length-prefixed name.
+  Column f(DataType::kFloat64);
+  for (int r = 0; r < 5; ++r) f.AppendDouble(r);
+  std::vector<Column> cols = {f};
+  std::string buf =
+      SerializeBinary(Table(Schema({{"f", DataType::kFloat64}}), std::move(cols)));
+  const size_t type_pos = 4 + 4 + 8 + 4 + 1;
+  ASSERT_EQ(buf[type_pos], static_cast<char>(DataType::kFloat64));
+  for (int type : {6, 9, 255}) {
+    buf[type_pos] = static_cast<char>(type);
+    EXPECT_FALSE(DeserializeBinary(buf).ok()) << "type byte " << type;
+  }
+}
+
 TEST(JsonIpcTest, RoundTripSkipsNullCells) {
   TablePtr t = SampleTable();
   std::string text = SerializeJsonRows(*t);

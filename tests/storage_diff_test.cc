@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,12 +22,14 @@
 #include "data/stats.h"
 #include "data/table.h"
 #include "expr/batch_eval.h"
+#include "expr/bind.h"
 #include "expr/compiler.h"
 #include "expr/parser.h"
 #include "expr_corpus_test_util.h"
 #include "runtime/engine_config.h"
 #include "runtime/middleware.h"
 #include "sql/engine.h"
+#include "sql/sql_parser.h"
 #include "storage/column_file.h"
 #include "storage/reader.h"
 #include "storage/stats.h"
@@ -205,6 +208,11 @@ const char* kShardQueries[] = {
     "SELECT ii, COUNT(*) AS n FROM t WHERE (tt BETWEEN LEAST(1000000000000, "
     "950000000000) AND GREATEST(1000000000000, 950000000000)) AND (dd BETWEEN "
     "LEAST(0, 40) AND GREATEST(0, 40)) GROUP BY ii ORDER BY ii",
+    // A WHERE that compiles but does not fuse, and one the compiler rejects:
+    // the shard's per-chunk filter runs the program's general path for the
+    // first and the interpreter for the second (UnfusedWheresTakeBothFilterLegs).
+    "SELECT * FROM t WHERE dd * 2 > ii",
+    "SELECT * FROM t WHERE ss = 3 OR dd > 10",
 };
 
 class StorageDiffTest : public ::testing::Test {
@@ -257,6 +265,24 @@ TEST_F(StorageDiffTest, ShardAnswersQueriesBitIdenticallyAcrossThreads) {
       }
     }
   }
+}
+
+// The last two kShardQueries reach the per-chunk filter's two legs: a
+// compiled program without a fused conjunction (so no chunk is pruned) and
+// the interpreter.
+TEST_F(StorageDiffTest, UnfusedWheresTakeBothFilterLegs) {
+  const auto compile = [&](const char* sql) -> std::optional<expr::Program> {
+    auto stmt = sql::ParseSql(sql);
+    EXPECT_TRUE(stmt.ok()) << sql << ": " << stmt.status();
+    if (!stmt.ok()) return std::nullopt;
+    return expr::Compiler::Compile(expr::FoldConstantCalls((*stmt)->where),
+                                   reader_->schema());
+  };
+  auto program = compile("SELECT * FROM t WHERE dd * 2 > ii");
+  ASSERT_TRUE(program.has_value());
+  EXPECT_TRUE(program->fused_preds.empty());
+  EXPECT_TRUE(program->fused_tree_ops.empty());
+  EXPECT_FALSE(compile("SELECT * FROM t WHERE ss = 3 OR dd > 10").has_value());
 }
 
 // Selective brushes over a clustered shard must actually prune chunks — and
@@ -502,12 +528,20 @@ TEST(StorageConcurrencyTest, ConcurrentScansUnderEvictionStayIdentical) {
   // Budget far below the table: every pass churns the LRU.
   reader->set_residency_budget(64 * 1024);
 
-  std::vector<storage::Predicate> preds(1);
-  preds[0].col = 0;  // x
-  preds[0].cmp = storage::CmpOp::kLt;
-  preds[0].num_const = 2500.0;
-  auto want = reader->MaterializeMatching(preds);
+  // The executor's shard scan: the fused WHERE prunes chunks and filters
+  // each surviving chunk through the compiled program.
+  auto where = expr::ParseExpression("datum.x < 2500");
+  ASSERT_TRUE(where.ok()) << where.status();
+  auto program = expr::Compiler::Compile(*where, reader->schema());
+  ASSERT_TRUE(program.has_value());
+  const std::vector<storage::Predicate> preds = expr::ZonePredicates(*program);
+  ASSERT_EQ(preds.size(), 1u);
+  const storage::ChunkFilter filter = [&](const data::Table& chunk, std::vector<int32_t>* keep) {
+    expr::BatchEvaluator(chunk).RunFilter(*program, keep);
+  };
+  auto want = reader->Scan(preds, filter);
   ASSERT_TRUE(want.ok()) << want.status();
+  ASSERT_EQ((*want)->num_rows(), 2500u);
   const std::string want_bytes = data::SerializeBinary(**want);
 
   constexpr int kThreads = 8;
@@ -519,8 +553,7 @@ TEST(StorageConcurrencyTest, ConcurrentScansUnderEvictionStayIdentical) {
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
         for (int i = 0; i < kIters; ++i) {
-          auto got = (i % 2 == 0) ? reader->MaterializeMatching(preds)
-                                  : reader->ReadAll();
+          auto got = (i % 2 == 0) ? reader->Scan(preds, filter) : reader->ReadAll();
           if (!got.ok()) {
             ++failures[t];
             continue;

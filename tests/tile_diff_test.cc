@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +24,9 @@
 #include "data/table.h"
 #include "runtime/engine_config.h"
 #include "runtime/middleware.h"
+#include "storage/reader.h"
+#include "storage/stats.h"
+#include "storage/table_shard.h"
 #include "transforms/binning.h"
 
 namespace vegaplus {
@@ -308,6 +312,63 @@ TEST_F(TileDiffTest, ConcurrentFirstTouchSingleFlight) {
   ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_EQ(response->source, QueryResponse::Source::kTileStore);
   EXPECT_GE(tile_mw_->stats().tile_hits, 1u);
+}
+
+// A shard-backed table builds its tree once: the staleness probe reads the
+// catalog identity (the shard reader), not a materialized table, so later
+// tile-shaped queries neither rebuild nor page in a chunk. Re-registering
+// the name rebuilds.
+TEST(TileShardTest, ShardTreeBuildsOnceAndHitsPageInNothing) {
+  const data::TablePtr table = MakeCorpus(20000, 7);
+  const std::string path = ::testing::TempDir() + "vps_tile_diff_shard.vps";
+  storage::WriteOptions opts;
+  opts.chunk_rows = 1024;
+  ASSERT_TRUE(storage::TableShard::Write(path, *table, opts).ok());
+  const auto open = [&]() -> std::shared_ptr<storage::Reader> {
+    auto reader = storage::Reader::Open(path);
+    EXPECT_TRUE(reader.ok()) << reader.status();
+    return reader.ok() ? *reader : nullptr;
+  };
+  std::shared_ptr<storage::Reader> reader = open();
+  ASSERT_NE(reader, nullptr);
+  sql::Engine engine;
+  ASSERT_TRUE(engine.RegisterShardTable("t", reader).ok());
+  Middleware mw(&engine, MiddlewareOptions{});
+  ASSERT_NE(mw.tile_store(), nullptr);
+
+  const data::TableStats stats = data::ComputeTableStats(*table);
+  const transforms::Binning b =
+      transforms::ComputeBinning(stats.Find("x")->min, stats.Find("x")->max, 20);
+  auto handle = mw.Prepare(HistogramTemplate("x", kAggs, ""));
+  ASSERT_TRUE(handle.ok()) << handle.status();
+  rewrite::QueryRequest request;
+  request.handle = *handle;
+  request.params = {{"start", expr::EvalValue::Number(b.start)},
+                    {"step", expr::EvalValue::Number(b.step)}};
+
+  constexpr int kQueries = 4;
+  for (int q = 0; q < kQueries; ++q) {
+    reader->EvictAll();  // a probe that reads the table must page in
+    const uint64_t paged_before = storage::ChunksPagedIn();
+    auto response = mw.Submit(request)->Await();
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_EQ(response->source, QueryResponse::Source::kTileStore) << q;
+    if (q > 0) {
+      EXPECT_EQ(storage::ChunksPagedIn(), paged_before) << q;
+    }
+    mw.ClearCaches();
+  }
+  EXPECT_EQ(mw.tile_store()->stats().builds, 1u);
+  EXPECT_EQ(mw.tile_store()->stats().hits, static_cast<size_t>(kQueries));
+
+  std::shared_ptr<storage::Reader> reopened = open();
+  ASSERT_NE(reopened, nullptr);
+  ASSERT_TRUE(engine.RegisterShardTable("t", reopened).ok());
+  auto response = mw.Submit(request)->Await();
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->source, QueryResponse::Source::kTileStore);
+  EXPECT_EQ(mw.tile_store()->stats().builds, 2u);
+  std::remove(path.c_str());
 }
 
 }  // namespace
