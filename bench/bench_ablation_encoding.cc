@@ -16,21 +16,6 @@
 using namespace vegaplus;         // NOLINT
 using namespace vegaplus::bench;  // NOLINT
 
-namespace {
-
-/// The table with every string column forced to the given physical form.
-data::TablePtr Recode(const data::Table& table, bool dict) {
-  std::vector<data::Column> columns;
-  columns.reserve(table.num_columns());
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    columns.push_back(dict ? table.column(c).EncodeDictionary()
-                           : table.column(c).DecodeFlat());
-  }
-  return std::make_shared<data::Table>(table.schema(), std::move(columns));
-}
-
-}  // namespace
-
 int main() {
   BenchConfig config = LoadConfig();
   BenchReporter reporter("ablation_encoding");

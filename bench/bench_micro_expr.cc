@@ -10,8 +10,8 @@
 //
 // String workloads (equality filter, group-by, sort over a 100-distinct
 // category column) additionally compare dictionary-encoded columns against
-// the flat kill-switch baseline (data::SetDictionaryEncodingEnabled(false)),
-// both running the vectorized engine; VP_REQUIRE_DICT_SPEEDUP gates the
+// their flat twin (Column::DecodeFlat, via bench::Recode), both running
+// the vectorized engine; VP_REQUIRE_DICT_SPEEDUP gates the
 // dictionary win (>=4x on string filter + group-by at 1M rows).
 //
 // Rows default to 1,000,000; VP_SIZES=<n> overrides (the largest entry is
@@ -160,8 +160,8 @@ Comparison CompareProjection(const data::Table& table, const char* text) {
   return c;
 }
 
-/// Same engine query under both string encodings: `flat` registered a table
-/// built with the dictionary kill switch off, `dict` the default build.
+/// Same engine query under both string encodings: `flat` registered the
+/// flat twin of the table, `dict` the default build.
 /// Both runs use the vectorized engine; the speedup isolates the encoding.
 Comparison CompareEncoding(const sql::Engine& dict_engine,
                            const sql::Engine& flat_engine, const char* sql) {
@@ -200,13 +200,13 @@ void ReportEncoding(BenchReporter* reporter, const char* name, const Comparison&
 Comparison CompareQuery(const sql::Engine& engine, const char* sql) {
   size_t scalar_rows = 0, vector_rows = 0;
   Comparison c;
-  expr::SetVectorizedEnabled(false);
+  common::QueryContext interpreter;
+  interpreter.vectorized = false;
   c.scalar_ms = TimeMs([&] {
-    auto result = engine.Query(sql);
+    auto result = engine.Query(sql, &interpreter);
     if (!result.ok()) Die(result.status(), sql);
     scalar_rows = result->table->num_rows();
   });
-  expr::SetVectorizedEnabled(true);
   c.vector_ms = TimeMs([&] {
     auto result = engine.Query(sql);
     if (!result.ok()) Die(result.status(), sql);
@@ -234,15 +234,11 @@ int main() {
   reporter.AddMetric("rows", json::Value(rows));
 
   std::printf("=== Micro: vectorized expression engine (rows=%zu) ===\n\n", rows);
-  data::SetDictionaryEncodingEnabled(true);
   data::TablePtr table = MakeWideTable(rows, config.seed);
   sql::Engine engine;
   engine.RegisterTable("t", table);
-  // Flat twin (same cells, dictionary kill switch off) for the encoding
-  // comparisons.
-  data::SetDictionaryEncodingEnabled(false);
-  data::TablePtr flat_table = MakeWideTable(rows, config.seed);
-  data::SetDictionaryEncodingEnabled(true);
+  // Flat twin (same cells, flat strings) for the encoding comparisons.
+  data::TablePtr flat_table = Recode(*table, /*dict=*/false);
   sql::Engine flat_engine;
   flat_engine.RegisterTable("t", flat_table);
 

@@ -1,8 +1,9 @@
 // Out-of-core storage scan: zone-map pruning on vs off over an on-disk
 // columnar shard. A clustered 4M-row table is written as a VPS1 shard and
 // registered as a shard-backed SQL table; selective brush queries then run
-// twice from a cold chunk cache — once with zone-map pruning enabled, once
-// with the kill switch thrown — and must come back bit-identical. Because
+// twice from a cold chunk cache — once with zone-map pruning, once through
+// a QueryContext with zone_map_pruning = false — and must come back
+// bit-identical. Because
 // the table is clustered on the brushed column, the zone maps prove most
 // chunks irrelevant, so the pruned scan decodes a fraction of the shard:
 // the gate requires >=3x cold-scan speedup and a non-zero pruned-chunk
@@ -53,19 +54,6 @@ std::string ShardPath(size_t size) {
 struct ScanCase {
   std::string label;
   std::string sql;
-};
-
-/// RAII kill-switch scope so a failed run cannot leave pruning disabled.
-class PruningScope {
- public:
-  explicit PruningScope(bool enabled)
-      : saved_(storage::ZoneMapPruningEnabled()) {
-    storage::SetZoneMapPruningEnabled(enabled);
-  }
-  ~PruningScope() { storage::SetZoneMapPruningEnabled(saved_); }
-
- private:
-  bool saved_;
 };
 
 }  // namespace
@@ -130,15 +118,16 @@ int main() {
                      StrFormat("SELECT COUNT(*) AS n, SUM(y) AS s FROM t "
                                "WHERE cat = 'run_4' AND x < %f", 0.35 * hi)});
 
+    common::QueryContext unpruned;
+    unpruned.zone_map_pruning = false;
     for (const ScanCase& sc : cases) {
-      // Unpruned cold scan (kill switch thrown).
+      // Unpruned cold scan.
       double full_ms = 0;
       Result<sql::QueryResult> full = Status::RuntimeError("unset");
       {
-        PruningScope off(false);
         (*reader)->EvictAll();
         StopWatch w;
-        full = engine.Query(sc.sql);
+        full = engine.Query(sc.sql, &unpruned);
         full_ms = w.ElapsedMillis();
       }
       // Pruned cold scan.
@@ -146,7 +135,6 @@ int main() {
       double pruned_ms = 0;
       Result<sql::QueryResult> pruned = Status::RuntimeError("unset");
       {
-        PruningScope on(true);
         (*reader)->EvictAll();
         StopWatch w;
         pruned = engine.Query(sc.sql);

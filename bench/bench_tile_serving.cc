@@ -1,7 +1,7 @@
 // Tile serving (middleware aggregation trees) vs base-table execution for
 // the bin+aggregate shapes interactive histograms emit. For each dataset
 // size the same prepared templates run through two middlewares over one
-// engine — tile serving on vs off (EngineConfig override) — and the
+// engine — MiddlewareOptions::tile_serving on vs off — and the
 // simulated server latency of every covered shape is compared. Covered
 // shapes must come back bit-identical and at least 10x faster in simulated
 // latency (hard gate: non-zero exit), since a tile hit touches a few
@@ -13,7 +13,6 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "data/stats.h"
-#include "runtime/engine_config.h"
 #include "runtime/middleware.h"
 #include "transforms/binning.h"
 
@@ -99,8 +98,7 @@ int main() {
     runtime::Middleware tiled(&engine, tiled_opts);
 
     runtime::MiddlewareOptions base_opts = tiled_opts;
-    base_opts.engine_config = runtime::EngineConfig::Current();
-    base_opts.engine_config->tile_serving = false;
+    base_opts.tile_serving = false;
     runtime::Middleware base(&engine, base_opts);
 
     const data::ColumnStats* xs = stats.Find("x");

@@ -19,6 +19,7 @@
 #include "common/logging.h"
 #include "common/str_util.h"
 #include "common/timer.h"
+#include "data/table.h"
 #include "json/json_value.h"
 #include "json/json_writer.h"
 #include "optimizer/comparator.h"
@@ -245,6 +246,19 @@ inline double ComparatorAccuracy(const optimizer::PlanComparator& comparator,
 inline void Die(const Status& status, const char* what) {
   std::fprintf(stderr, "FATAL (%s): %s\n", what, status.ToString().c_str());
   std::exit(1);
+}
+
+/// The table with every string column forced to the given physical form
+/// (Column::EncodeDictionary / DecodeFlat); the flat form is the baseline
+/// of the string-encoding comparisons.
+inline data::TablePtr Recode(const data::Table& table, bool dict) {
+  std::vector<data::Column> columns;
+  columns.reserve(table.num_columns());
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    columns.push_back(dict ? table.column(c).EncodeDictionary()
+                           : table.column(c).DecodeFlat());
+  }
+  return std::make_shared<data::Table>(table.schema(), std::move(columns));
 }
 
 #define BENCH_ASSIGN(lhs, expr_result)                    \

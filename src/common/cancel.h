@@ -1,6 +1,7 @@
 // Cooperative cancellation: a cheap, polled token threaded from the
 // middleware down through SQL execution, morsel loops, storage page-in, and
-// tile builds.
+// tile builds; and the per-query context (QueryContext) that carries it
+// with the query's execution options.
 //
 // Design rules:
 //
@@ -85,12 +86,25 @@ class CancelToken {
   std::shared_ptr<const CancelToken> parent_;
 };
 
-/// Per-query execution context handed from the middleware into the engine.
-/// Today it carries only the cancellation token; it is the seam where future
-/// per-query state (priority, memory budget, tracing) attaches without
-/// another signature sweep.
+/// Per-query execution context handed from the middleware into the engine:
+/// the cancellation token and the execution options of this one query. Two
+/// queries in one process never see each other's options. A null context
+/// means no token and every option at its default.
+///
+/// The morsel thread count and morsel size stay process-wide
+/// (common/parallel.h): a thread count never changes a result, and one
+/// morsel size must be shared by the tile trees, the executor and the shard
+/// writer for SUM/AVG bit-identity.
 struct QueryContext {
   std::shared_ptr<CancelToken> cancel;
+  /// Compiled column-at-a-time evaluation (expr::Compiler). False runs every
+  /// expression of the query on the scalar interpreter: the differential
+  /// and benchmark baseline.
+  bool vectorized = true;
+  /// Zone-map pruning of shard chunks and in-memory morsels. False scans
+  /// and filters every chunk and morsel: the baseline that proves pruned
+  /// execution bit-identical.
+  bool zone_map_pruning = true;
 
   /// Borrowed pointer for the hot-path plumbing (ParallelFor, readers).
   /// Null when cancellation is not in play.

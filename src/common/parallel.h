@@ -36,10 +36,10 @@ namespace parallel {
 /// runs tasks inline on the calling thread in index order. Benchmarks set
 /// this to measure scaling at fixed thread counts.
 ///
-/// The morsel knobs are deprecated as a public configuration surface:
-/// prefer runtime::EngineConfig (runtime/engine_config.h), which snapshots
-/// and applies every process-wide switch coherently. These free functions
-/// remain the storage owners.
+/// The two morsel knobs are process-wide, unlike the per-query options of
+/// common::QueryContext: a thread count never changes a result, and one
+/// morsel size must be shared by the tile trees, the executor and the shard
+/// writer, whose chunk boundaries SUM/AVG bit-identity depends on.
 size_t MorselParallelism();
 void SetMorselParallelism(size_t threads);
 

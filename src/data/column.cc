@@ -3,25 +3,10 @@
 #include "expr/kernels/kernels.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 namespace vegaplus {
 namespace data {
-
-namespace {
-
-std::atomic<bool> g_dict_encoding_enabled{true};
-
-}  // namespace
-
-bool DictionaryEncodingEnabled() {
-  return g_dict_encoding_enabled.load(std::memory_order_relaxed);
-}
-
-void SetDictionaryEncodingEnabled(bool enabled) {
-  g_dict_encoding_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 double Column::NumericAt(size_t i) const {
   if (IsNull(i)) return std::nan("");
@@ -151,7 +136,7 @@ void Column::AppendNull() {
       break;
     case DataType::kString:
       // An empty string column commits to a form at its first append.
-      if (store_->dict == nullptr && length_ == 1 && DictionaryEncodingEnabled()) {
+      if (store_->dict == nullptr && length_ == 1) {
         store_->dict = std::make_shared<StringDictionary>();
       }
       if (store_->dict != nullptr) {
@@ -196,7 +181,7 @@ void Column::AppendString(std::string v) {
   store_->validity.push_back(1);
   ++length_;
   // An empty string column commits to a form at its first append.
-  if (store_->dict == nullptr && length_ == 1 && DictionaryEncodingEnabled()) {
+  if (store_->dict == nullptr && length_ == 1) {
     store_->dict = std::make_shared<StringDictionary>();
   }
   if (store_->dict != nullptr) {
@@ -220,8 +205,7 @@ void Column::Reserve(size_t n) {
       store_->doubles.reserve(n);
       break;
     case DataType::kString:
-      if (store_->dict != nullptr ||
-          (length_ == 0 && DictionaryEncodingEnabled())) {
+      if (store_->dict != nullptr || length_ == 0) {
         store_->codes.reserve(n);
       } else {
         store_->strings.reserve(n);

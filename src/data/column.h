@@ -9,11 +9,14 @@
 // String columns come in two physical forms with identical observable
 // behavior:
 //   - flat: std::vector<std::string>, one string per row.
-//   - dictionary-encoded (the default for new columns while
-//     DictionaryEncodingEnabled()): a shared StringDictionary of unique
-//     strings plus one int32 code per row (-1 = null). Grouping,
-//     equality filtering, and sorting on dictionary columns run at
-//     integer speed, and IPC payloads shrink for low-cardinality data.
+//   - dictionary-encoded (every new column commits to this form at its
+//     first append): a shared StringDictionary of unique strings plus one
+//     int32 code per row (-1 = null). Grouping, equality filtering, and
+//     sorting on dictionary columns run at integer speed, and IPC payloads
+//     shrink for low-cardinality data.
+//   The flat form comes from FromStrings (deserialization of flat
+//   payloads) and DecodeFlat, which builds the flat twin of a column for
+//   differential tests and benchmarks.
 // Take/Slice/copies share the dictionary; appending a string that is not
 // yet in a shared dictionary clones it first (copy-on-write), so sibling
 // columns and outstanding readers are never invalidated.
@@ -32,18 +35,6 @@
 
 namespace vegaplus {
 namespace data {
-
-/// Global kill switch (default on): when off, newly built string columns use
-/// the flat representation. Existing columns keep whatever form they have —
-/// execution paths branch on the column, not the switch — so differential
-/// tests can compare dictionary and flat pipelines end to end.
-///
-/// Deprecated as a public configuration surface: prefer
-/// runtime::EngineConfig (runtime/engine_config.h), which snapshots and
-/// applies every process-wide switch coherently. This pair remains the
-/// storage owner.
-bool DictionaryEncodingEnabled();
-void SetDictionaryEncodingEnabled(bool enabled);
 
 /// \brief Unique-string dictionary shared by dictionary-encoded columns and
 /// the expression engine's code-backed registers. Codes index `values`;
@@ -94,8 +85,8 @@ class Column {
                          std::vector<uint8_t> validity);
 
   /// Bulk construction of a flat kString column (used by deserialization and
-  /// DecodeFlat so the flat form survives regardless of the kill switch).
-  /// `validity` as in FromDoubles; null cells keep empty strings.
+  /// DecodeFlat; appends keep the flat form once it has rows). `validity`
+  /// as in FromDoubles; null cells keep empty strings.
   static Column FromStrings(std::vector<std::string> values,
                             std::vector<uint8_t> validity);
 

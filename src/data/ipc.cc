@@ -371,8 +371,7 @@ Result<TablePtr> DeserializeBinary(std::string_view buffer) {
         const uint8_t encoding = static_cast<uint8_t>(buffer[pos++]);
         if (encoding == 1) {
           // Dictionary form: unique strings, then int32 codes per row. The
-          // column is reconstructed dictionary-encoded regardless of the
-          // kill switch (the payload dictates the physical form).
+          // payload dictates the physical form of the rebuilt column.
           uint32_t dict_size;
           if (!GetU32(buffer, &pos, &dict_size)) {
             return Status::ParseError("truncated dictionary size");

@@ -1,7 +1,6 @@
 #include "expr/batch_eval.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <cstring>
@@ -25,8 +24,6 @@ namespace {
 using data::Column;
 using data::DataType;
 using data::Value;
-
-std::atomic<bool> g_vectorized_enabled{true};
 
 // ---- Vec cell helpers ----
 
@@ -108,11 +105,6 @@ bool KeyCellEq(const Vec& v, size_t a, size_t b) {
 }
 
 }  // namespace
-
-bool VectorizedEnabled() { return g_vectorized_enabled.load(std::memory_order_relaxed); }
-void SetVectorizedEnabled(bool enabled) {
-  g_vectorized_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 bool Vec::TruthyAt(size_t i) const {
   switch (kind) {
@@ -1111,9 +1103,10 @@ namespace {
 
 /// Per-batch compiled state of one fused conjunct: raw column pointers plus
 /// the resolved constant. String constants against dictionary columns
-/// resolve to a code once here, so the row loop is one int32 compare.
+/// resolve to a code once here, so the row loop is one int32 compare. A
+/// null-constant leaf (kNothing) reads no column and selects no row.
 struct PredState {
-  enum class Kind { kDouble, kInt64, kStrCode, kStrFlat };
+  enum class Kind { kDouble, kInt64, kStrCode, kStrFlat, kNothing };
   Kind kind = Kind::kDouble;
   kernels::Cmp cmp = kernels::Cmp::kLt;
   const uint8_t* valid = nullptr;  // nullptr == no nulls
@@ -1137,9 +1130,14 @@ bool PreparePreds(const Program& p,
                   const data::Table& table, std::vector<PredState>* out) {
   out->reserve(leaves.size());
   for (const Program::FusedPred& fp : leaves) {
-    const Column& col = table.column(static_cast<size_t>(fp.col));
     PredState s;
     s.cmp = fp.cmp;
+    if (fp.null_const) {
+      s.kind = PredState::Kind::kNothing;
+      out->push_back(s);
+      continue;
+    }
+    const Column& col = table.column(static_cast<size_t>(fp.col));
     s.valid = col.null_count() > 0 ? col.validity_data() : nullptr;
     if (fp.is_str) {
       if (col.type() != DataType::kString) return false;
@@ -1179,9 +1177,13 @@ bool PreparePreds(const Program& p,
 /// Evaluate one prepared leaf into a full-width 0/1 bitmap — the same
 /// semantics as EqNum/CmpNum/EqStr against a non-null constant: null rows
 /// fail every compare except != (which includes them), and NaN rows pass ==
-/// (Value::Compare quirk), all owned by the compare kernels.
+/// (Value::Compare quirk), all owned by the compare kernels. CmpNum against
+/// a null constant is false on every row.
 void PredBits(const PredState& s, size_t n, uint8_t* out) {
   switch (s.kind) {
+    case PredState::Kind::kNothing:
+      std::memset(out, 0, n);
+      return;
     case PredState::Kind::kDouble:
       kernels::CompareNumToBits(s.d, s.valid, n, s.cmp, s.c, out);
       return;
@@ -1202,6 +1204,9 @@ void PredBits(const PredState& s, size_t n, uint8_t* out) {
 /// candidate-list refinement for sparse AND chains.
 void RefinePred(const PredState& s, std::vector<int32_t>* sel, size_t base) {
   switch (s.kind) {
+    case PredState::Kind::kNothing:
+      sel->resize(base);
+      return;
     case PredState::Kind::kDouble:
       kernels::RefineNumIndices(s.d, s.valid, s.cmp, s.c, sel, base);
       return;
@@ -1341,6 +1346,7 @@ std::vector<storage::Predicate> ZonePredicates(const Program& p) {
     pred.col = fp.col;
     pred.cmp = fp.cmp;
     pred.is_str = fp.is_str;
+    pred.null_const = fp.null_const;
     pred.num_const = fp.num_const;
     if (fp.is_str) pred.str_const = p.str_consts[static_cast<size_t>(fp.str_const)];
     preds.push_back(std::move(pred));
@@ -1370,10 +1376,7 @@ bool MorselWorthIt(size_t num_morsels) {
 /// prune.
 std::vector<uint8_t> ZoneSkipMorsels(const data::Table& table, const Program& p,
                                      const std::vector<parallel::Range>& morsels) {
-  if (p.fused_preds.empty() || morsels.size() < 2 ||
-      !storage::ZoneMapPruningEnabled()) {
-    return {};
-  }
+  if (p.fused_preds.empty() || morsels.size() < 2) return {};
   std::vector<uint8_t> skip(morsels.size(), 0);
   size_t pruned = 0;
   for (const storage::Predicate& pred : ZonePredicates(p)) {
@@ -1496,12 +1499,15 @@ Vec RunMorselParallel(const data::Table& table, const Program& p,
 
 void RunFilterMorselParallel(const data::Table& table, const Program& p,
                              std::vector<int32_t>* sel,
-                             const common::CancelToken* cancel) {
+                             const common::QueryContext* ctx) {
+  const common::CancelToken* cancel = ctx != nullptr ? ctx->token() : nullptr;
   const std::vector<parallel::Range> morsels = parallel::MorselRanges(table.num_rows());
   // Zone-map morsel pruning: a pruned morsel's filter run would select
   // nothing, so skipping it leaves the stitched selection vector
   // bit-identical while saving the scan.
-  const std::vector<uint8_t> skip = ZoneSkipMorsels(table, p, morsels);
+  const std::vector<uint8_t> skip = ctx == nullptr || ctx->zone_map_pruning
+                                        ? ZoneSkipMorsels(table, p, morsels)
+                                        : std::vector<uint8_t>{};
   if (!MorselWorthIt(morsels.size())) {
     if (!skip.empty()) {
       // Sequential, but still morsel-at-a-time so pruning pays off (zone

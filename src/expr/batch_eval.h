@@ -24,16 +24,6 @@
 namespace vegaplus {
 namespace expr {
 
-/// Global kill switch (default on). Turned off by benchmarks to measure the
-/// scalar interpreter, and by tests to compare both paths.
-///
-/// Deprecated as a public configuration surface: new call sites should read
-/// and write this through runtime::EngineConfig (engine_config.h), which
-/// snapshots and applies every process-wide switch coherently. This pair
-/// remains the storage owner.
-bool VectorizedEnabled();
-void SetVectorizedEnabled(bool enabled);
-
 /// \brief Shared, copy-on-write buffer backing one register array.
 ///
 /// Copying a CowVec bumps a refcount instead of copying elements, so passing
@@ -277,12 +267,14 @@ class BatchEvaluator {
 /// `cancel` (optional) is polled at morsel checkpoints (common/cancel.h):
 /// once it fires, the remaining morsels are skipped and the return value /
 /// `sel` contents are unspecified — callers must poll the token after the
-/// call and discard the result if it fired.
+/// call and discard the result if it fired. The filter takes the query's
+/// context instead: its token, and whether zone maps may skip morsels
+/// (QueryContext::zone_map_pruning; a null context prunes).
 Vec RunMorselParallel(const data::Table& table, const Program& p,
                       const common::CancelToken* cancel = nullptr);
 void RunFilterMorselParallel(const data::Table& table, const Program& p,
                              std::vector<int32_t>* sel,
-                             const common::CancelToken* cancel = nullptr);
+                             const common::QueryContext* ctx = nullptr);
 
 /// The zone-map form of a program's fused conjunction (Program::fused_preds),
 /// which both pruning paths test: shard chunks before page-in

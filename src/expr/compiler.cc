@@ -379,7 +379,8 @@ std::optional<RegInfo> CompilerImpl::Emit(const NodePtr& node,
 
 /// Match a `column <cmp> constant` compare (in either operand order) at
 /// code[i..i+2]. Numeric compares accept any of the six operators against a
-/// non-null constant; string compares accept ==/!= against a literal.
+/// non-null constant, and the four ordered ones against a null constant
+/// (false on every row); string compares accept ==/!= against a literal.
 bool MatchFusedCompare(const Program& p, size_t i, Program::FusedPred* out) {
   if (i + 2 >= p.code.size()) return false;
   const Instr& a = p.code[i];
@@ -399,12 +400,16 @@ bool MatchFusedCompare(const Program& p, size_t i, Program::FusedPred* out) {
     default: return false;
   }
   const VecOp const_op = is_str ? VecOp::kLoadStrConst : VecOp::kLoadNumConst;
+  const bool ordered = !is_str && op != kernels::Cmp::kEq && op != kernels::Cmp::kNeq;
+  const auto is_const = [&](const Instr& in) {
+    return in.op == const_op || (ordered && in.op == VecOp::kLoadNullNum);
+  };
   const Instr* col = nullptr;
   const Instr* cst = nullptr;
-  if (a.op == VecOp::kLoadCol && b.op == const_op) {
+  if (a.op == VecOp::kLoadCol && is_const(b)) {
     col = &a;
     cst = &b;
-  } else if (a.op == const_op && b.op == VecOp::kLoadCol) {
+  } else if (is_const(a) && b.op == VecOp::kLoadCol) {
     col = &b;
     cst = &a;
     // Mirror the comparison so the column sits on the left.
@@ -423,9 +428,11 @@ bool MatchFusedCompare(const Program& p, size_t i, Program::FusedPred* out) {
   out->is_str = is_str;
   if (is_str) {
     out->str_const = cst->imm;
+  } else if (cst->op == VecOp::kLoadNullNum) {
+    out->null_const = true;
   } else {
     const Program::NumConst& c = p.num_consts[static_cast<size_t>(cst->imm)];
-    if (c.is_null) return false;  // null comparisons keep the general path
+    if (c.is_null) return false;  // ==/!= against null keep the general path
     out->num_const = c.value;
   }
   return true;

@@ -108,13 +108,17 @@ struct Program {
 
   /// One conjunct of the fused predicate fast path: `column <cmp> constant`
   /// (normalized so the column is on the left-hand side). Numeric conjuncts
-  /// carry a non-null double constant; string conjuncts (==/!= only) carry a
+  /// carry a double constant; string conjuncts (==/!= only) carry a
   /// str_consts index — against a dictionary-encoded column the constant is
-  /// looked up once per batch and the row loop compares int32 codes.
+  /// looked up once per batch and the row loop compares int32 codes. An
+  /// ordered numeric compare (<, <=, >, >=) against a null constant is false
+  /// on every row: it fuses with null_const set, selects nothing, and every
+  /// zone refutes it. ==/!= against null keep the general path.
   struct FusedPred {
     int32_t col = -1;
     kernels::Cmp cmp = kernels::Cmp::kLt;
     bool is_str = false;
+    bool null_const = false;
     double num_const = 0;
     int32_t str_const = -1;  // index into str_consts (is_str only)
   };

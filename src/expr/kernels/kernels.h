@@ -35,7 +35,9 @@ namespace kernels {
 //
 // Process-global monotone counters; readers take deltas around the work they
 // measure. Selection counters record the density heuristic's choice per
-// filter evaluation (one bump per batch/morsel/chunk, not per row).
+// filter evaluation (one bump per batch/morsel/chunk, not per row). They
+// stay process-wide, unlike the execution options of common::QueryContext,
+// while the end-to-end benchmark reads them.
 
 void AddBitmapSelections(uint64_t n);
 uint64_t BitmapSelections();

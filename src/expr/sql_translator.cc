@@ -273,66 +273,5 @@ std::vector<std::string> CollectHoles(const std::string& sql_template) {
   return holes;
 }
 
-Result<std::string> FillSqlHoles(const std::string& sql_template,
-                                 const SignalResolver& signals) {
-  std::string out;
-  out.reserve(sql_template.size());
-  size_t pos = 0;
-  while (pos < sql_template.size()) {
-    size_t hole = sql_template.find("${", pos);
-    if (hole == std::string::npos) {
-      out.append(sql_template.substr(pos));
-      break;
-    }
-    out.append(sql_template.substr(pos, hole - pos));
-    size_t end = sql_template.find('}', hole);
-    if (end == std::string::npos) {
-      return Status::ParseError("sql template: unterminated hole");
-    }
-    std::string inner = sql_template.substr(hole + 2, end - hole - 2);
-    std::string name = inner;
-    int index = -1;
-    bool as_identifier = false;
-    if (EndsWith(inner, ":id")) {
-      as_identifier = true;
-      inner = inner.substr(0, inner.size() - 3);
-      name = inner;
-    }
-    size_t bracket = inner.find('[');
-    if (bracket != std::string::npos) {
-      name = inner.substr(0, bracket);
-      size_t close = inner.find(']', bracket);
-      if (close == std::string::npos) {
-        return Status::ParseError("sql template: bad hole index");
-      }
-      int64_t idx;
-      if (!ParseInt64(inner.substr(bracket + 1, close - bracket - 1), &idx)) {
-        return Status::ParseError("sql template: bad hole index");
-      }
-      index = static_cast<int>(idx);
-    }
-    EvalValue v;
-    if (!signals.Lookup(name, &v)) {
-      return Status::KeyError("sql template: unresolved signal '" + name + "'");
-    }
-    if (as_identifier) {
-      if (v.is_array() || !v.scalar().is_string()) {
-        return Status::TypeError("sql template: identifier hole '" + name +
-                                 "' needs a string signal");
-      }
-      out.append(QuoteIdentifier(v.scalar().AsString()));
-    } else if (index >= 0) {
-      out.append(SqlLiteral(v.At(static_cast<size_t>(index))));
-    } else if (v.is_array()) {
-      return Status::TypeError("sql template: array signal '" + name +
-                               "' used without index");
-    } else {
-      out.append(SqlLiteral(v.scalar()));
-    }
-    pos = end + 1;
-  }
-  return out;
-}
-
 }  // namespace expr
 }  // namespace vegaplus

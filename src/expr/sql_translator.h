@@ -34,15 +34,6 @@ std::string SqlLiteral(const data::Value& v);
 /// Quote a column identifier if it is not a plain [A-Za-z_][A-Za-z0-9_]* name.
 std::string QuoteIdentifier(const std::string& name);
 
-/// Replace every ${name} / ${name[i]} / ${name:id} hole in `sql_template`
-/// using `signals`. Plain holes render as SQL literals; `:id` holes render
-/// the (string) signal value as a quoted identifier — used by the rewriter
-/// when a transform's target *field* is signal-driven (e.g. a field
-/// dropdown). Unresolvable holes or array-valued signals used without an
-/// index are errors.
-Result<std::string> FillSqlHoles(const std::string& sql_template,
-                                 const SignalResolver& signals);
-
 /// Collect hole names appearing in `sql_template` (deduplicated).
 std::vector<std::string> CollectHoles(const std::string& sql_template);
 

@@ -3,16 +3,17 @@
 #include <algorithm>
 #include <functional>
 
-#include "expr/sql_translator.h"
 #include "rewrite/flatten.h"
+#include "sql/prepared.h"
 
 namespace vegaplus {
 namespace optimizer {
 
-Result<ColdQueryCosts::Cost> ColdQueryCosts::Execute(const std::string& sql) {
+Result<ColdQueryCosts::Cost> ColdQueryCosts::Execute(const sql::SelectStmt& bound) {
+  std::string sql = sql::ToSql(bound);
   auto it = memo_.find(sql);
   if (it != memo_.end()) return it->second;
-  auto result = engine_->Query(sql);
+  auto result = engine_->Execute(bound);
   if (!result.ok()) {
     return Status(result.status().code(),
                   "labeler: " + result.status().message() + " [" + sql + "]");
@@ -25,7 +26,7 @@ Result<ColdQueryCosts::Cost> ColdQueryCosts::Execute(const std::string& sql) {
           result->stats.rows_processed + result->stats.rows_scanned,
           result->stats.num_operators, latency_) +
       runtime::TransferMillis(cost.bytes, binary_, latency_);
-  memo_.emplace(sql, cost);
+  memo_.emplace(std::move(sql), cost);
   return cost;
 }
 
@@ -74,11 +75,12 @@ Status SessionLabeler::BuildTemplates() {
     } else {
       pipeline = rewrite::MakeTablePipeline(!d.table.empty() ? d.table : d.name);
       // split == 0 on a root: raw fetch.
-      data_templates_[e][0].present = true;
-      data_templates_[e][0].sql = rewrite::RenderPipelineSql(pipeline);
-      data_templates_[e][0].derived = pipeline.derived;
-      data_templates_[e][0].deps =
-          rewrite::VdtSignalDeps(data_templates_[e][0].sql, pipeline.derived);
+      DataTemplate& raw = data_templates_[e][0];
+      const std::string sql = rewrite::RenderPipelineSql(pipeline);
+      raw.present = true;
+      VP_ASSIGN_OR_RETURN(raw.prepared, sql::PrepareStatement(sql));
+      raw.derived = pipeline.derived;
+      raw.deps = rewrite::VdtSignalDeps(sql, pipeline.derived);
     }
 
     if (base_ok) {
@@ -88,19 +90,21 @@ Status SessionLabeler::BuildTemplates() {
             &pipeline, d.transforms[static_cast<size_t>(s - 1)], unique_counter++));
         // New side queries belong to the transform just processed.
         for (; side_seen < pipeline.side_queries.size(); ++side_seen) {
+          const rewrite::ServerPipeline::SideQuery& query = pipeline.side_queries[side_seen];
           SideTemplate side;
-          side.sql = pipeline.side_queries[side_seen].sql_template;
-          side.derived = pipeline.side_queries[side_seen].derived;
+          VP_ASSIGN_OR_RETURN(side.prepared, sql::PrepareStatement(query.sql_template));
+          side.derived = query.derived;
           side.position = s - 1;
-          side.output_signal = pipeline.side_queries[side_seen].output_signal;
-          side.deps = rewrite::VdtSignalDeps(side.sql, side.derived);
+          side.output_signal = query.output_signal;
+          side.deps = rewrite::VdtSignalDeps(query.sql_template, side.derived);
           side_templates_[e].push_back(std::move(side));
         }
         DataTemplate& tpl = data_templates_[e][static_cast<size_t>(s)];
+        const std::string sql = rewrite::RenderPipelineSql(pipeline);
         tpl.present = true;
-        tpl.sql = rewrite::RenderPipelineSql(pipeline);
+        VP_ASSIGN_OR_RETURN(tpl.prepared, sql::PrepareStatement(sql));
         tpl.derived = pipeline.derived;
-        tpl.deps = rewrite::VdtSignalDeps(tpl.sql, tpl.derived);
+        tpl.deps = rewrite::VdtSignalDeps(sql, tpl.derived);
       }
       if (max_split == total) {
         full_pipelines[e] = pipeline;
@@ -220,16 +224,18 @@ Result<std::vector<double>> SessionLabeler::LabelEpisode(
       if (!initial && !ChainReevaluates(e, side.position + 1)) continue;
       rewrite::DerivedResolver resolver(registry, side.derived);
       VP_RETURN_IF_ERROR(resolver.Materialize());
-      VP_ASSIGN_OR_RETURN(std::string sql, expr::FillSqlHoles(side.sql, resolver));
-      VP_ASSIGN_OR_RETURN(ColdQueryCosts::Cost c, cold_.Execute(sql));
+      VP_ASSIGN_OR_RETURN(sql::SelectPtr bound,
+                          sql::BindStatement(*side.prepared->stmt, resolver));
+      VP_ASSIGN_OR_RETURN(ColdQueryCosts::Cost c, cold_.Execute(*bound));
       cost.sides.push_back(PlanQuery{c.latency_ms, &side.deps, &side.output_signal});
     }
     const DataTemplate& tpl = data_templates_[e][static_cast<size_t>(split)];
     if (tpl.present && (initial || ChainReevaluates(e, split))) {
       rewrite::DerivedResolver resolver(registry, tpl.derived);
       VP_RETURN_IF_ERROR(resolver.Materialize());
-      VP_ASSIGN_OR_RETURN(std::string sql, expr::FillSqlHoles(tpl.sql, resolver));
-      VP_ASSIGN_OR_RETURN(ColdQueryCosts::Cost c, cold_.Execute(sql));
+      VP_ASSIGN_OR_RETURN(sql::SelectPtr bound,
+                          sql::BindStatement(*tpl.prepared->stmt, resolver));
+      VP_ASSIGN_OR_RETURN(ColdQueryCosts::Cost c, cold_.Execute(*bound));
       cost.fetch_present = true;
       cost.fetch = PlanQuery{c.latency_ms, &tpl.deps, nullptr};
     }

@@ -30,8 +30,8 @@
 namespace vegaplus {
 namespace optimizer {
 
-/// \brief Executes distinct SQL once; replays the same cold-execution cost
-/// on repeats.
+/// \brief Executes each distinct bound statement once; replays the same
+/// cold-execution cost on repeats.
 class ColdQueryCosts {
  public:
   ColdQueryCosts(const sql::Engine* engine, runtime::LatencyParams latency,
@@ -44,9 +44,8 @@ class ColdQueryCosts {
     size_t bytes = 0;
   };
 
-  Result<Cost> Execute(const std::string& sql);
-
-  size_t distinct_queries() const { return memo_.size(); }
+  /// Cost of `bound`, memoized on its canonical SQL (sql::ToSql).
+  Result<Cost> Execute(const sql::SelectStmt& bound);
 
  private:
   const sql::Engine* engine_;
@@ -85,15 +84,16 @@ class SessionLabeler {
   const rewrite::PlanBuilder& builder() const { return builder_; }
 
  private:
+  // Templates are prepared once in BuildTemplates and bound per episode.
   struct DataTemplate {
     bool present = false;
-    std::string sql;
+    sql::PreparedPtr prepared;
     std::vector<rewrite::DerivedParam> derived;
     /// Signals the query reads (wave leveling, mirrors VDT dirty deps).
     std::vector<std::string> deps;
   };
   struct SideTemplate {
-    std::string sql;
+    sql::PreparedPtr prepared;
     std::vector<rewrite::DerivedParam> derived;
     int position = 0;  // index of the extent transform within the entry
     std::string output_signal;

@@ -442,7 +442,6 @@ void Session::CachePut(const std::string& key, data::TablePtr table) {
 
 Middleware::Middleware(const sql::Engine* engine, MiddlewareOptions options)
     : engine_(engine), options_(std::move(options)),
-      engine_config_(options_.engine_config.value_or(EngineConfig::Current())),
       server_cache_(options_.enable_server_cache ? options_.cache_capacity : 0,
                     options_.cache_max_result_rows, options_.cache_policy),
       stale_cache_(options_.enable_degraded_serving ? options_.stale_cache_capacity : 0,
@@ -450,7 +449,7 @@ Middleware::Middleware(const sql::Engine* engine, MiddlewareOptions options)
       breaker_(std::make_unique<CircuitBreaker>(options_.circuit_breaker)),
       pool_(std::make_unique<WorkerPool>(options_.worker_threads,
                                          options_.max_queue_depth)) {
-  if (engine_config_.tile_serving) {
+  if (options_.tile_serving) {
     tile_store_ = std::make_unique<tiles::TileStore>(engine_, options_.tile_options);
   }
   if (options_.fault_injection.has_value()) {

@@ -13,10 +13,13 @@
 // the same statement within a session cancels the superseded in-flight
 // request instead of decoding it.
 //
-// The middleware also hosts a cross-session tile store: bin+aggregate
-// shapes are answered from precomputed multi-resolution aggregation trees
-// when coverage is exact (see tiles/tile_store.h), skipping the DBMS scan
-// entirely. Tile hits fill both cache tiers like any other result.
+// The middleware also hosts a cross-session tile store
+// (MiddlewareOptions::tile_serving): bin+aggregate shapes are answered from
+// precomputed multi-resolution aggregation trees when coverage is exact (see
+// tiles/tile_store.h), skipping the DBMS scan entirely. Tile hits fill both
+// cache tiers like any other result. The engine's execution options travel
+// per query in common::QueryContext; the middleware's contexts carry the
+// cancellation token and leave the options at their defaults.
 #ifndef VEGAPLUS_RUNTIME_MIDDLEWARE_H_
 #define VEGAPLUS_RUNTIME_MIDDLEWARE_H_
 
@@ -37,7 +40,6 @@
 
 #include "rewrite/query_service.h"
 #include "runtime/circuit_breaker.h"
-#include "runtime/engine_config.h"
 #include "runtime/fault_injector.h"
 #include "tiles/tile_store.h"
 #include "runtime/cache.h"
@@ -110,13 +112,11 @@ struct MiddlewareOptions {
   /// (after cache and tile misses), with the query's cache key. Lets
   /// concurrency tests gate execution deterministically. Null in production.
   std::function<void(const std::string& cache_key)> before_dbms_execute;
-  /// Engine feature snapshot this middleware runs with. Unset means
-  /// "snapshot the ambient process-wide configuration at construction".
-  /// The snapshot decides middleware-owned features (tile serving);
-  /// process-global toggles (vectorization, morsels, dictionaries) remain
-  /// ambient — use ScopedEngineConfig to pin them for a scope.
-  std::optional<EngineConfig> engine_config;
-  /// Tile store tuning (used only when the snapshot enables tile serving).
+  /// Multi-resolution tile serving for bin+aggregate shapes (the
+  /// cross-session tile store). False is the base-execution baseline of
+  /// tile benchmarks and differential tests.
+  bool tile_serving = true;
+  /// Tile store tuning (used only with tile_serving).
   tiles::TileStoreOptions tile_options;
   /// Retry schedule for transient DBMS failures.
   RetryPolicy retry;
@@ -334,10 +334,7 @@ class Middleware : public rewrite::QueryService {
 
   const MiddlewareOptions& options() const { return options_; }
 
-  /// The engine feature snapshot taken at construction.
-  const EngineConfig& engine_config() const { return engine_config_; }
-
-  /// The shared tile tier, or nullptr when the snapshot disabled it.
+  /// The shared tile tier, or nullptr without options.tile_serving.
   tiles::TileStore* tile_store() const { return tile_store_.get(); }
 
   /// The fault injector, or nullptr when options.fault_injection is unset.
@@ -429,8 +426,7 @@ class Middleware : public rewrite::QueryService {
 
   const sql::Engine* engine_;
   MiddlewareOptions options_;
-  EngineConfig engine_config_;
-  /// Cross-session tile tier (created iff engine_config_.tile_serving).
+  /// Cross-session tile tier (created iff options_.tile_serving).
   /// Internally synchronized; safe to probe from any worker.
   std::unique_ptr<tiles::TileStore> tile_store_;
 

@@ -42,7 +42,8 @@ class Engine {
   const Catalog& catalog() const { return catalog_; }
 
   /// Parse and execute one SELECT. `ctx` (optional, here and below) carries
-  /// the cooperative cancellation token; a fired token aborts execution at
+  /// the query's execution options (vectorized, zone-map pruning) and the
+  /// cooperative cancellation token; a fired token aborts execution at
   /// the next morsel/chunk checkpoint with kCancelled/kDeadlineExceeded.
   /// Work counters for the stages that ran still accumulate into
   /// lifetime_stats(), so aborted scans report the rows they touched.

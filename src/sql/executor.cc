@@ -31,6 +31,10 @@ using expr::NodeKind;
 using expr::NodePtr;
 using expr::Vec;
 
+/// The options of a query run without a context: every option at its
+/// default, no cancellation token.
+const common::QueryContext kDefaultContext;
+
 Value EvalScalar(const NodePtr& node, const Table& table, size_t row) {
   EvalContext ctx;
   ctx.table = &table;
@@ -46,10 +50,11 @@ Value EvalScalar(const NodePtr& node, const Table& table, size_t row) {
 /// evaluates those rows (cells outside stay null) so selective queries
 /// don't pay interpreter cost for filtered-out rows; the vectorized path
 /// always computes the full batch, which is cheaper than gathering.
-Vec EvalVec(const NodePtr& node, const Table& table,
+/// `vectorized` is the query's QueryContext::vectorized.
+Vec EvalVec(const NodePtr& node, const Table& table, bool vectorized,
             const std::vector<int32_t>* rows = nullptr,
             const common::CancelToken* cancel = nullptr) {
-  if (expr::VectorizedEnabled()) {
+  if (vectorized) {
     if (auto program = Compiler::Compile(node, table.schema())) {
       return expr::RunMorselParallel(table, *program, cancel);
     }
@@ -93,16 +98,17 @@ void FilterRowsInterpreted(const NodePtr& pred, const Table& table,
 
 /// Append the row indices of `table` where `pred` is truthy: the vectorized
 /// path emits the selection vector directly (with the fused column-compare
-/// fast path when available).
+/// fast path when available, and zone-map morsel pruning when the context
+/// allows it).
 void FilterRows(const NodePtr& pred, const Table& table, std::vector<int32_t>* keep,
-                const common::CancelToken* cancel = nullptr) {
-  if (expr::VectorizedEnabled()) {
+                const common::QueryContext& ctx) {
+  if (ctx.vectorized) {
     if (auto program = Compiler::Compile(pred, table.schema())) {
-      expr::RunFilterMorselParallel(table, *program, keep, cancel);
+      expr::RunFilterMorselParallel(table, *program, keep, &ctx);
       return;
     }
   }
-  FilterRowsInterpreted(pred, table, keep, cancel);
+  FilterRowsInterpreted(pred, table, keep, ctx.token());
 }
 
 /// Scan a shard-backed FROM source and run the (folded) WHERE clause once,
@@ -110,15 +116,18 @@ void FilterRows(const NodePtr& pred, const Table& table, std::vector<int32_t>* k
 /// program when it compiles, whose fused conjunction also prunes chunks by
 /// zone map before page-in, and through the interpreter otherwise. The
 /// result is the rows that pass WHERE, in scan order, the same rows
-/// FilterRows selects over the whole table.
+/// FilterRows selects over the whole table. With pruning off the scan gets
+/// no zone predicates, so every chunk pages in.
 Result<TablePtr> ScanShard(const storage::Reader& shard, const NodePtr& where,
                            storage::ScanStats* sstats,
-                           const common::CancelToken* cancel) {
+                           const common::QueryContext& ctx) {
+  const common::CancelToken* cancel = ctx.token();
   if (where == nullptr) return shard.ReadAll(cancel, sstats);
   std::optional<expr::Program> program;
-  if (expr::VectorizedEnabled()) program = Compiler::Compile(where, shard.schema());
+  if (ctx.vectorized) program = Compiler::Compile(where, shard.schema());
   const std::vector<storage::Predicate> preds =
-      program ? expr::ZonePredicates(*program) : std::vector<storage::Predicate>{};
+      program && ctx.zone_map_pruning ? expr::ZonePredicates(*program)
+                                      : std::vector<storage::Predicate>{};
   return shard.Scan(
       preds,
       [&](const Table& chunk, std::vector<int32_t>* keep) {
@@ -173,12 +182,12 @@ DataType AggResultType(AggOp op, const NodePtr& arg, const Schema& input) {
 // code-backed string keys order by a precomputed dictionary permutation (one
 // int compare per probe instead of a string compare).
 void SortIndices(std::vector<int32_t>* order, const Table& table,
-                 const std::vector<OrderItem>& keys,
+                 const std::vector<OrderItem>& keys, bool vectorized,
                  const common::CancelToken* cancel = nullptr) {
   std::vector<Vec> key_vecs;
   key_vecs.reserve(keys.size());
   for (const OrderItem& k : keys) {
-    key_vecs.push_back(EvalVec(k.expr, table, nullptr, cancel));
+    key_vecs.push_back(EvalVec(k.expr, table, vectorized, nullptr, cancel));
   }
   // A fired token leaves short/empty key registers; skip the sort (the
   // caller's checkpoint discards the order anyway).
@@ -264,7 +273,8 @@ Result<TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
                                ExecStats* stats,
                                const common::QueryContext* ctx) {
   ExecStats local;
-  const common::CancelToken* cancel = ctx != nullptr ? ctx->token() : nullptr;
+  const common::QueryContext& opts = ctx != nullptr ? *ctx : kDefaultContext;
+  const common::CancelToken* cancel = opts.token();
   // Every cancellation exit funnels through here so the work counters of the
   // stages that DID run reach `stats` — an aborted 4M-row scan reports the
   // rows it touched (strictly below the full count), which is the observable
@@ -300,7 +310,7 @@ Result<TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
       // A shard scan counts the rows of the chunks it paged in, before the
       // row filter; pruned chunks count nothing.
       shard_scan.emplace();
-      Result<TablePtr> scanned = ScanShard(*shard, where, &*shard_scan, cancel);
+      Result<TablePtr> scanned = ScanShard(*shard, where, &*shard_scan, opts);
       local.rows_scanned += static_cast<size_t>(shard_scan->rows_scanned);
       if (!scanned.ok()) return bail(std::move(scanned).status());
       input = std::move(*scanned);
@@ -323,7 +333,7 @@ Result<TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
   }
   if (where && !shard_scan) {
     selection.reserve(input->num_rows());
-    FilterRows(where, *input, &selection, cancel);
+    FilterRows(where, *input, &selection, opts);
     if (common::Fired(cancel)) return bail(cancel->status());
   } else {
     selection.resize(input->num_rows());
@@ -434,8 +444,8 @@ Result<TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
     std::vector<Vec> key_vecs;
     key_vecs.reserve(stmt.group_by.size());
     for (const auto& g : stmt.group_by) {
-      key_vecs.push_back(
-          EvalVec(g, *key_input, gathered ? nullptr : &selection, cancel));
+      key_vecs.push_back(EvalVec(g, *key_input, opts.vectorized,
+                                 gathered ? nullptr : &selection, cancel));
     }
     if (common::Fired(cancel)) return bail(cancel->status());
     std::vector<const Vec*> key_ptrs;
@@ -458,8 +468,8 @@ Result<TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
       const SelectItem* item = agg_items[a];
       Vec arg;
       if (item->agg_arg != nullptr) {
-        arg = EvalVec(item->agg_arg, *key_input, gathered ? nullptr : &selection,
-                      cancel);
+        arg = EvalVec(item->agg_arg, *key_input, opts.vectorized,
+                      gathered ? nullptr : &selection, cancel);
         if (common::Fired(cancel)) return bail(cancel->status());
       }
       agg_values[a] =
@@ -502,7 +512,7 @@ Result<TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
       local.rows_processed += output->num_rows();
       std::vector<int32_t> keep;
       keep.reserve(output->num_rows());
-      FilterRows(stmt.having, *output, &keep, cancel);
+      FilterRows(stmt.having, *output, &keep, opts);
       if (common::Fired(cancel)) return bail(cancel->status());
       output = output->Take(keep);
     }
@@ -552,7 +562,7 @@ Result<TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
       Column col(fields[f].type);
       if (item.kind == SelectItem::Kind::kExpr) {
         bool vectorized = false;
-        if (expr::VectorizedEnabled()) {
+        if (opts.vectorized) {
           if (auto program = Compiler::Compile(item.expr, filtered->schema())) {
             // Morsel-parallel projection: compute the register across the
             // pool, then build the column once (identical to RunToColumn).
@@ -577,7 +587,7 @@ Result<TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
         std::vector<Vec> part_vecs;
         part_vecs.reserve(item.window.partition_by.size());
         for (const auto& pexpr : item.window.partition_by) {
-          part_vecs.push_back(EvalVec(pexpr, *filtered));
+          part_vecs.push_back(EvalVec(pexpr, *filtered, opts.vectorized));
         }
         std::vector<const Vec*> part_ptrs;
         part_ptrs.reserve(part_vecs.size());
@@ -592,12 +602,12 @@ Result<TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
 
         Vec arg_vec;
         if (item.window.op != WindowOp::kRowNumber) {
-          arg_vec = EvalVec(item.window.arg, *filtered);
+          arg_vec = EvalVec(item.window.arg, *filtered, opts.vectorized);
         }
         std::vector<Value> results(n, Value::Null());
         for (std::vector<int32_t>& rows : part_rows) {
           if (!item.window.order_by.empty()) {
-            SortIndices(&rows, *filtered, item.window.order_by);
+            SortIndices(&rows, *filtered, item.window.order_by, opts.vectorized);
           }
           double running = 0;
           int64_t rank = 0;
@@ -626,7 +636,7 @@ Result<TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
     if (common::Fired(cancel)) return bail(cancel->status());
     std::vector<int32_t> order(output->num_rows());
     std::iota(order.begin(), order.end(), 0);
-    SortIndices(&order, *output, stmt.order_by, cancel);
+    SortIndices(&order, *output, stmt.order_by, opts.vectorized, cancel);
     if (common::Fired(cancel)) return bail(cancel->status());
     output = output->Take(order);
   }

@@ -38,8 +38,10 @@ struct ExecStats {
 /// Execute `stmt` against `catalog`; work counters accumulate into `stats`
 /// (which may be null).
 ///
-/// `ctx` (optional) carries the cooperative cancellation token
-/// (common/cancel.h). The pipeline checkpoints between stages and between
+/// `ctx` (optional) carries the query's execution options and its
+/// cooperative cancellation token (common/cancel.h); this function and its
+/// helpers are the only readers of the options. The pipeline checkpoints
+/// between stages and between
 /// morsels/chunks inside the scan, filter, and aggregation loops; a fired
 /// token aborts with Status::Cancelled / kDeadlineExceeded. Work counters
 /// for the stages that did run are still added to `stats` on abort, so a

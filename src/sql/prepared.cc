@@ -59,7 +59,7 @@ void CollectStmtParams(const SelectStmt& stmt, std::vector<std::string>* out) {
   if (stmt.from.subquery) CollectStmtParams(*stmt.from.subquery, out);
 }
 
-// The legacy path renders bound values as SQL literal text and reparses;
+// The text oracle renders bound values as SQL literal text and reparses;
 // the reparse turns every numeric into a double literal. Mirror that here
 // so bound execution stays bit-identical to fill-and-parse.
 data::Value NormalizeBoundLiteral(const data::Value& v) {

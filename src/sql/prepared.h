@@ -3,11 +3,13 @@
 // directly into a clone of the AST — no per-interaction lexing or parsing,
 // and a canonical, formatting-insensitive statement identity.
 //
-// Binding semantics mirror expr::FillSqlHoles + reparse exactly (the legacy
-// text path), including its errors: an unresolved name is a KeyError, an
+// Binding is the one bind path: the middleware and the optimizer's labeler
+// both bind here. Its semantics mirror filling the holes as SQL literal text
+// and reparsing, including the errors: an unresolved name is a KeyError, an
 // array value used without an index is a TypeError, and numeric values bind
-// as doubles (the SQL parser produces double literals), so bound execution
-// is bit-identical to the fill-and-parse path.
+// as doubles (the SQL parser produces double literals). The text filler
+// survives only as this path's test oracle (tests/sql_holes_test_util.h),
+// against which differential_test checks bound execution bit for bit.
 #ifndef VEGAPLUS_SQL_PREPARED_H_
 #define VEGAPLUS_SQL_PREPARED_H_
 

@@ -49,7 +49,7 @@ void SetPageInFaultHook(PageInFaultHook hook) {
 }
 
 Reader::Reader(std::shared_ptr<const ColumnFile> file)
-    : file_(std::move(file)), budget_(DefaultResidencyBudget()) {}
+    : file_(std::move(file)), budget_(kDefaultResidencyBudget) {}
 
 Result<std::shared_ptr<Reader>> Reader::Open(const std::string& path) {
   VP_ASSIGN_OR_RETURN(std::shared_ptr<ColumnFile> file, ColumnFile::Open(path));
@@ -136,17 +136,14 @@ Result<data::TablePtr> Reader::Scan(const std::vector<Predicate>& preds,
   // expression engine); a conjunct on an unknown column cannot prune.
   std::vector<const Predicate*> prunable;
   std::vector<int32_t> dict_codes;
-  if (ZoneMapPruningEnabled()) {
-    for (const Predicate& pred : preds) {
-      if (pred.col < 0 || static_cast<size_t>(pred.col) >= schema().num_fields()) {
-        continue;
-      }
-      const data::DictPtr& dict = file_->dict(static_cast<size_t>(pred.col));
-      const int32_t code =
-          pred.is_str && dict != nullptr ? dict->Find(pred.str_const) : -2;
-      prunable.push_back(&pred);
-      dict_codes.push_back(code < 0 ? -2 : code);
+  for (const Predicate& pred : preds) {
+    if (pred.col < 0 || static_cast<size_t>(pred.col) >= schema().num_fields()) {
+      continue;
     }
+    const data::DictPtr& dict = file_->dict(static_cast<size_t>(pred.col));
+    const int32_t code = pred.is_str && dict != nullptr ? dict->Find(pred.str_const) : -2;
+    prunable.push_back(&pred);
+    dict_codes.push_back(code < 0 ? -2 : code);
   }
   std::vector<size_t> survivors;
   survivors.reserve(num_chunks());

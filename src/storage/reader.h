@@ -60,10 +60,13 @@ using PageInFaultHook =
     std::function<Status(const std::string& path, size_t chunk_index)>;
 void SetPageInFaultHook(PageInFaultHook hook);
 
+/// Byte budget for a new Reader's resident decoded chunks.
+constexpr size_t kDefaultResidencyBudget = size_t{256} << 20;
+
 class Reader {
  public:
-  /// Open a shard for reading. The residency budget is snapshotted from
-  /// DefaultResidencyBudget() and adjustable per reader afterwards.
+  /// Open a shard for reading. The residency budget starts at
+  /// kDefaultResidencyBudget and is adjustable per reader afterwards.
   static Result<std::shared_ptr<Reader>> Open(const std::string& path);
 
   ~Reader();
@@ -85,9 +88,9 @@ class Reader {
   Result<data::TablePtr> Chunk(size_t i) const;
 
   /// The one chunk loop. Chunks whose zones prove that no row passes the
-  /// conjunction `preds` are skipped before page-in (when
-  /// ZoneMapPruningEnabled(); string constants resolve against the file's
-  /// dictionary pages). The survivors run as morsels on the shared pool
+  /// conjunction `preds` are skipped before page-in (string constants
+  /// resolve against the file's dictionary pages; empty `preds` prune
+  /// nothing). The survivors run as morsels on the shared pool
   /// (parallel::ParallelFor): each task pages its chunk in and, when
   /// `filter` is set, keeps the rows `filter` selects. The kept rows are
   /// concatenated in chunk order. `preds` must be implied by `filter`

@@ -6,27 +6,11 @@ namespace vegaplus {
 namespace storage {
 
 namespace {
-std::atomic<bool> g_pruning_enabled{true};
-std::atomic<size_t> g_residency_budget{size_t{256} << 20};
 std::atomic<uint64_t> g_chunks_pruned{0};
 std::atomic<uint64_t> g_morsels_pruned{0};
 std::atomic<uint64_t> g_chunks_paged_in{0};
 std::atomic<int64_t> g_resident_bytes{0};
 }  // namespace
-
-bool ZoneMapPruningEnabled() {
-  return g_pruning_enabled.load(std::memory_order_relaxed);
-}
-void SetZoneMapPruningEnabled(bool enabled) {
-  g_pruning_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-size_t DefaultResidencyBudget() {
-  return g_residency_budget.load(std::memory_order_relaxed);
-}
-void SetDefaultResidencyBudget(size_t bytes) {
-  g_residency_budget.store(bytes, std::memory_order_relaxed);
-}
 
 void AddChunksPruned(uint64_t n) {
   g_chunks_pruned.fetch_add(n, std::memory_order_relaxed);

@@ -1,12 +1,12 @@
-// Process-wide storage configuration owners and counters.
+// Process-wide storage work counters.
 //
-// Configuration follows the repo convention: free functions own the storage
-// for each switch, runtime::EngineConfig snapshots and applies them
-// coherently. Counters are global atomics because chunk pruning happens deep
-// inside the expression engine and the SQL scan path, far from any session
-// object. Nothing rebases them: readers (benchmarks, tests) take deltas
-// around the work they measure, and concurrent work anywhere in the process
-// counts into the same numbers.
+// Counters are global atomics because chunk pruning happens deep inside the
+// expression engine and the SQL scan path, far from any session object.
+// Nothing rebases them: readers (benchmarks, tests) take deltas around the
+// work they measure, and concurrent work anywhere in the process counts
+// into the same numbers. They stay process-wide until per-query counters
+// reach common::QueryContext, because perfbench reads them. The execution
+// options (zone-map pruning) are per query (common::QueryContext).
 #ifndef VEGAPLUS_STORAGE_STATS_H_
 #define VEGAPLUS_STORAGE_STATS_H_
 
@@ -15,18 +15,6 @@
 
 namespace vegaplus {
 namespace storage {
-
-/// Zone-map pruning kill switch (default on). When off, every scan decodes
-/// and evaluates every chunk/morsel — the differential baseline for proving
-/// pruned execution bit-identical.
-bool ZoneMapPruningEnabled();
-void SetZoneMapPruningEnabled(bool enabled);
-
-/// Default byte budget for a Reader's resident decoded chunks (LRU evicted
-/// beyond it). 0 = unbounded. Readers snapshot this at Open(); it can also
-/// be overridden per reader.
-size_t DefaultResidencyBudget();
-void SetDefaultResidencyBudget(size_t bytes);
 
 // ---- Counters (monotone except the resident-bytes gauge) ----
 

@@ -196,6 +196,7 @@ bool StringMayMatch(const ColumnZone& z, kernels::Cmp cmp, const std::string& c)
 }  // namespace
 
 bool ColumnZone::MayMatch(const Predicate& pred, int32_t dict_code) const {
+  if (pred.null_const) return false;  // false on every row, whatever the zone
   switch (kind) {
     case Kind::kNumeric:
       return pred.is_str || NumericMayMatch(*this, pred.cmp, pred.num_const);

@@ -40,12 +40,14 @@ namespace storage {
 /// column space of the table or shard it filters: the form in which shard
 /// chunks and in-memory morsels are tested against their zones. String
 /// constants (==/!= only) stay strings; each caller resolves them against
-/// the dictionary its zones' codes index.
+/// the dictionary its zones' codes index. A null constant (ordered numeric
+/// compares only) matches no row, so every zone refutes it.
 struct Predicate {
   int32_t col = -1;
   kernels::Cmp cmp = kernels::Cmp::kEq;
   bool is_str = false;
-  double num_const = 0.0;  ///< !is_str
+  bool null_const = false;
+  double num_const = 0.0;  ///< !is_str && !null_const
   std::string str_const;   ///< is_str
 };
 

@@ -1,7 +1,6 @@
 #include "tiles/tile_store.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -34,8 +33,6 @@ using rewrite::TileShape;
 using sql::AggOp;
 using sql::SelectItem;
 using sql::SelectStmt;
-
-std::atomic<bool> g_tile_serving{true};
 
 std::string TreeKey(const std::string& table, const std::string& column,
                     bool categorical) {
@@ -111,11 +108,6 @@ SlotCoverage ClassifySlot(const TileShape& shape, double vmin, double vmax) {
 }
 
 }  // namespace
-
-bool TileServingEnabled() { return g_tile_serving.load(std::memory_order_relaxed); }
-void SetTileServingEnabled(bool enabled) {
-  g_tile_serving.store(enabled, std::memory_order_relaxed);
-}
 
 const expr::BinAggSlots* TileStore::Level::FindMeasure(
     const std::string& name) const {
@@ -325,7 +317,7 @@ std::shared_ptr<TileStore::Tree> TileStore::BuildTree(
     }
     if (seen) continue;
     const double k_max = std::floor((hi - b.start) / b.step);
-    if (!(k_max >= 0) || k_max >= static_cast<double>(options_.max_level_bins)) {
+    if (!(k_max >= 0) || k_max >= static_cast<double>(kMaxLevelBins)) {
       continue;  // too fine for the slot cap; queries at this zoom fall back
     }
     Level level;
@@ -498,7 +490,6 @@ TileStore::TreePtr TileStore::GetOrBuildTree(const std::string& key,
     if (it != trees_.end() && it->second->source == source) {
       return it->second;
     }
-    if (!options_.build_on_miss) return nullptr;
     if (building_.count(key)) {
       ++stats_.build_conflicts;
       return nullptr;  // another thread is building: fall back, don't block
@@ -698,7 +689,7 @@ std::optional<TileAnswer> TileStore::AnswerFromLevel(const SelectStmt& stmt,
   fields.reserve(shape.items.size());
   for (size_t i = 0; i < shape.items.size(); ++i) {
     const TileShape::Item& item = shape.items[i];
-    DataType t;
+    DataType t = DataType::kFloat64;
     switch (item.kind) {
       case TileShape::Item::Kind::kBin0:
       case TileShape::Item::Kind::kBin1:

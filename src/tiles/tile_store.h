@@ -66,21 +66,15 @@ class Engine;
 
 namespace tiles {
 
-/// Process-wide kill switch (default on). Middleware snapshots this via
-/// runtime::EngineConfig at construction; flipping it afterwards affects
-/// only middlewares constructed later.
-bool TileServingEnabled();
-void SetTileServingEnabled(bool enabled);
+/// Safety cap on slots per level; a finer binning than this is skipped
+/// (queries at that zoom fall back to base execution).
+constexpr size_t kMaxLevelBins = 4096;
 
+/// A middleware owns a TileStore iff MiddlewareOptions::tile_serving.
 struct TileStoreOptions {
   /// Zoom levels are enumerated as ComputeBinning(extent, maxbins) for
   /// maxbins in [1, max_maxbins], deduplicated on (start, step).
   size_t max_maxbins = 512;
-  /// Safety cap on slots per level; a finer binning than this is skipped
-  /// (queries at that zoom fall back to base execution).
-  size_t max_level_bins = 4096;
-  /// When false, TryAnswer never builds trees — only pre-built trees hit.
-  bool build_on_miss = true;
   /// Out-of-core tile pages: when non-empty, freshly built levels spill
   /// their slot arrays into chunked shard files (storage::TableShard, kind
   /// "TILE") under this directory. Tiles are immutable once built, so the

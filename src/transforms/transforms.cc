@@ -122,19 +122,14 @@ Result<EvalResult> FilterOp::Evaluate(const TablePtr& input,
   VP_RETURN_IF_ERROR(expr::Validate(predicate_));
   std::vector<int32_t> keep;
   keep.reserve(input->num_rows());
-  bool vectorized = false;
-  if (expr::VectorizedEnabled()) {
-    // The predicate is bound to this pulse's signal values first, so brush
-    // and click filters compile to a vector program (often the fused
-    // column-compare fast path) and filter morsel-parallel. What still does
-    // not compile runs the original tree on the scalar interpreter below.
-    if (auto program = expr::Compiler::Compile(expr::BindSignals(predicate_, signals),
-                                               input->schema())) {
-      expr::RunFilterMorselParallel(*input, *program, &keep);
-      vectorized = true;
-    }
-  }
-  if (!vectorized) {
+  // The predicate is bound to this pulse's signal values first, so brush
+  // and click filters compile to a vector program (often the fused
+  // column-compare fast path) and filter morsel-parallel. What still does
+  // not compile runs the original tree on the scalar interpreter.
+  if (auto program = expr::Compiler::Compile(expr::BindSignals(predicate_, signals),
+                                             input->schema())) {
+    expr::RunFilterMorselParallel(*input, *program, &keep);
+  } else {
     expr::EvalContext ctx;
     ctx.table = input.get();
     ctx.signals = &signals;
@@ -565,26 +560,20 @@ Result<EvalResult> FormulaOp::Evaluate(const TablePtr& input,
   if (!input) return Status::InvalidArgument("formula: missing input");
   VP_RETURN_IF_ERROR(expr::Validate(expression_));
   Column out(DataType::kFloat64);
-  bool vectorized = false;
-  if (expr::VectorizedEnabled()) {
-    // Formulas bound to this pulse's signal values execute column-at-a-time;
-    // the compiler's static result type replaces the scalar path's
-    // first-non-null inference.
-    if (auto program = expr::Compiler::Compile(expr::BindSignals(expression_, signals),
-                                               input->schema())) {
-      DataType type;
-      switch (program->result_kind) {
-        case expr::RegKind::kStr: type = DataType::kString; break;
-        case expr::RegKind::kBool: type = DataType::kBool; break;
-        default: type = program->result_type; break;
-      }
-      out = Column(type);
-      expr::VecToColumn(expr::RunMorselParallel(*input, *program),
-                        input->num_rows(), &out);
-      vectorized = true;
+  // Formulas bound to this pulse's signal values execute column-at-a-time;
+  // the compiler's static result type replaces the scalar path's
+  // first-non-null inference.
+  if (auto program = expr::Compiler::Compile(expr::BindSignals(expression_, signals),
+                                             input->schema())) {
+    DataType type;
+    switch (program->result_kind) {
+      case expr::RegKind::kStr: type = DataType::kString; break;
+      case expr::RegKind::kBool: type = DataType::kBool; break;
+      default: type = program->result_type; break;
     }
-  }
-  if (!vectorized) {
+    out = Column(type);
+    expr::VecToColumn(expr::RunMorselParallel(*input, *program), input->num_rows(), &out);
+  } else {
     // Infer the output type from the first non-null evaluation.
     expr::EvalContext ctx;
     ctx.table = input.get();

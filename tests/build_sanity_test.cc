@@ -17,7 +17,7 @@
 #include "runtime/cache.h"
 #include "spec/spec.h"
 #include "sql/sql_parser.h"
-#include "storage/stats.h"
+#include "storage/zone_map.h"
 #include "tiles/tile_store.h"
 #include "transforms/binning.h"
 
@@ -49,7 +49,7 @@ TEST(BuildSanityTest, EveryModuleLinks) {
   tree.Train({{0.0}, {1.0}}, {0, 1});
 
   // storage
-  EXPECT_TRUE(storage::ZoneMapPruningEnabled());
+  EXPECT_TRUE(storage::ColumnZone().MayMatch(storage::Predicate(), -2));
 
   // sql
   EXPECT_TRUE(sql::ParseSql("SELECT a FROM t").ok());
@@ -67,7 +67,7 @@ TEST(BuildSanityTest, EveryModuleLinks) {
   rewrite::PlanBuilder builder(*parsed_spec);
 
   // tiles
-  EXPECT_TRUE(tiles::TileServingEnabled());
+  EXPECT_EQ(tiles::TileStore(/*engine=*/nullptr).stats().hits, 0u);
 
   // runtime
   runtime::QueryCache cache(/*capacity=*/4, /*max_result_rows=*/16);

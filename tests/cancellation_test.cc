@@ -21,6 +21,7 @@
 #include "common/parallel.h"
 #include "data/ipc.h"
 #include "data/table.h"
+#include "exec_test_util.h"
 #include "middleware_test_util.h"
 #include "runtime/middleware.h"
 #include "sql/engine.h"
@@ -82,13 +83,6 @@ class PageInFaultGuard {
   ~PageInFaultGuard() { storage::SetPageInFaultHook(nullptr); }
 };
 
-// Pin the morsel pool's parallelism for one test; restore the default after.
-class ParallelismGuard {
- public:
-  explicit ParallelismGuard(size_t threads) { parallel::SetMorselParallelism(threads); }
-  ~ParallelismGuard() { parallel::SetMorselParallelism(0); }
-};
-
 // One 4M-row shard shared by the whole suite (written once); every test
 // opens its OWN Reader so chunk-cache state never leaks between tests.
 class CancellationTest : public ::testing::Test {
@@ -148,7 +142,7 @@ TEST_F(CancellationTest, DeadlineAbortsMidScanAtMorselCheckpoint) {
   // Chunks page in as parallel morsels. Two at a time, the full scan needs
   // >60ms on any machine, so a 40ms deadline is guaranteed to fire with the
   // scan genuinely in progress.
-  ParallelismGuard two_page_ins(2);
+  testutil::MorselConfigGuard two_page_ins(parallel::MorselRows(), /*threads=*/2);
 
   const size_t scanned_before = engine.lifetime_stats().rows_scanned;
   auto handle = mw.Prepare(kCutTemplate);

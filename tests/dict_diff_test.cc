@@ -1,5 +1,5 @@
 // Differential suite for dictionary-encoded string columns: the same data
-// built dictionary-encoded (the default) and flat (kill switch off) must
+// built dictionary-encoded (the default) and flat (Column::DecodeFlat) must
 // produce bit-identical results through every engine path — the expression
 // corpus, string-heavy SQL (group-by / equality filters / ORDER BY /
 // HAVING / windows), transforms, and IPC round trips — including
@@ -14,6 +14,7 @@
 #include "common/parallel.h"
 #include "data/ipc.h"
 #include "data/table.h"
+#include "exec_test_util.h"
 #include "expr/batch_eval.h"
 #include "expr/compiler.h"
 #include "expr/parser.h"
@@ -26,38 +27,8 @@ namespace {
 
 using data::TablePtr;
 using data::Value;
+using testutil::MorselConfigGuard;
 using testutil::SameCell;
-
-/// Pin the dictionary-encoding switch for one scope and restore after.
-class DictSwitchGuard {
- public:
-  explicit DictSwitchGuard(bool enabled)
-      : saved_(data::DictionaryEncodingEnabled()) {
-    data::SetDictionaryEncodingEnabled(enabled);
-  }
-  ~DictSwitchGuard() { data::SetDictionaryEncodingEnabled(saved_); }
-
- private:
-  bool saved_;
-};
-
-/// Pin the morsel configuration for one test and restore defaults after
-/// (mirrors morsel_diff_test.cc).
-class MorselConfigGuard {
- public:
-  MorselConfigGuard(size_t morsel_rows, size_t threads)
-      : saved_rows_(parallel::MorselRows()) {
-    parallel::SetMorselRows(morsel_rows);
-    parallel::SetMorselParallelism(threads);
-  }
-  ~MorselConfigGuard() {
-    parallel::SetMorselParallelism(0);  // 0 = hardware default
-    parallel::SetMorselRows(saved_rows_);
-  }
-
- private:
-  size_t saved_rows_;
-};
 
 /// The same logical table in both physical forms.
 struct TwinTables {
@@ -67,14 +38,8 @@ struct TwinTables {
 
 TwinTables MakeTwins(uint64_t seed, size_t rows) {
   TwinTables twins;
-  {
-    DictSwitchGuard on(true);
-    twins.dict = testutil::MakeRandomExprTable(seed, rows);
-  }
-  {
-    DictSwitchGuard off(false);
-    twins.flat = testutil::MakeRandomExprTable(seed, rows);
-  }
+  twins.dict = testutil::MakeRandomExprTable(seed, rows);
+  twins.flat = testutil::FlatTwin(*twins.dict);
   return twins;
 }
 
@@ -113,7 +78,6 @@ TEST(DictDiffTest, EncodeDecodeRoundTripsPreserveCells) {
 // Appending a new unique string to a column whose dictionary is shared (via
 // Take) clones the dictionary first: the sibling's view never changes.
 TEST(DictDiffTest, SharedDictionaryCopyOnWrite) {
-  DictSwitchGuard on(true);
   data::Column col(data::DataType::kString);
   col.AppendString("a");
   col.AppendString("b");
@@ -191,8 +155,8 @@ TEST(DictDiffTest, FilterSelectionsMatchFlat) {
   }
 }
 
-// Conjunction fusion itself (satellite): the fused path and the kill-switch
-// register path select identical rows for mixed numeric/string AND-chains.
+// Conjunction fusion itself: the fused path and the general register path
+// select identical rows for mixed numeric/string AND-chains.
 TEST(DictDiffTest, FusedConjunctionsMatchRegisterPath) {
   TwinTables twins = MakeTwins(41, 4000);
   const char* predicates[] = {
@@ -227,15 +191,16 @@ class DictQueryDiffTest : public ::testing::Test {
     flat_engine_.RegisterTable("t", twins_.flat);
   }
 
-  data::TablePtr Run(sql::Engine& engine, const char* sql) {
-    auto result = engine.Query(sql);
+  data::TablePtr Run(sql::Engine& engine, const char* sql,
+                     const common::QueryContext* ctx = nullptr) {
+    auto result = engine.Query(sql, ctx);
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status();
     return result.ok() ? result->table : nullptr;
   }
 
-  void ExpectSame(const char* sql) {
-    data::TablePtr dict_result = Run(dict_engine_, sql);
-    data::TablePtr flat_result = Run(flat_engine_, sql);
+  void ExpectSame(const char* sql, const common::QueryContext* ctx = nullptr) {
+    data::TablePtr dict_result = Run(dict_engine_, sql, ctx);
+    data::TablePtr flat_result = Run(flat_engine_, sql, ctx);
     ASSERT_NE(dict_result, nullptr) << sql;
     ASSERT_NE(flat_result, nullptr) << sql;
     ASSERT_TRUE(dict_result->Equals(*flat_result))
@@ -270,14 +235,17 @@ TEST_F(DictQueryDiffTest, StringQueriesMatchFlat) {
 }
 
 // The scalar interpreter reads dictionary columns through the same StringAt
-// surface: with vectorization off the two forms still agree.
+// surface: with vectorization off the two forms still agree, and agree with
+// the vectorized engine.
 TEST_F(DictQueryDiffTest, ScalarPathStringQueriesMatchFlat) {
-  struct VectorizedOffGuard {
-    VectorizedOffGuard() { expr::SetVectorizedEnabled(false); }
-    ~VectorizedOffGuard() { expr::SetVectorizedEnabled(true); }
-  };
-  VectorizedOffGuard vectorized_off;
-  for (const char* sql : kStringQueries) ExpectSame(sql);
+  for (const char* sql : kStringQueries) {
+    ExpectSame(sql, &testutil::kInterpreted);
+    data::TablePtr interpreted = Run(dict_engine_, sql, &testutil::kInterpreted);
+    data::TablePtr vectorized = Run(dict_engine_, sql);
+    ASSERT_NE(interpreted, nullptr) << sql;
+    ASSERT_NE(vectorized, nullptr) << sql;
+    ASSERT_TRUE(interpreted->Equals(*vectorized)) << sql;
+  }
 }
 
 // Dictionary vs flat execution is invariant across morsel parallelism

@@ -20,6 +20,7 @@
 #include "rewrite/rewriter.h"
 #include "spec/transform_factory.h"
 #include "sql/engine.h"
+#include "sql_holes_test_util.h"
 #include "transforms/transforms.h"
 
 namespace vegaplus {
@@ -86,7 +87,7 @@ class DifferentialTest
     std::string sql_template = rewrite::RenderPipelineSql(pipeline);
     rewrite::DerivedResolver resolver(*signals, pipeline.derived);
     ASSERT_TRUE(resolver.Materialize().ok());
-    auto sql = expr::FillSqlHoles(sql_template, resolver);
+    auto sql = testutil::FillSqlHoles(sql_template, resolver);
     ASSERT_TRUE(sql.ok()) << sql.status() << "\n" << sql_template;
     auto server = engine_.Query(*sql);
     ASSERT_TRUE(server.ok()) << server.status() << "\n" << *sql;
@@ -294,6 +295,34 @@ TEST_P(DifferentialTest, CollectProjectFormulaAgree) {
            {"type":"collect","sort":{"field":"scaled","order":["descending"]}}])x",
       Q(0).c_str(), C(0).c_str());
   CheckPipeline(json, &signals);
+}
+
+// The oracle itself: FillSqlHoles renders holes as SQL literals.
+TEST(FillSqlHolesTest, ScalarAndIndexedHoles) {
+  expr::MapSignalResolver signals;
+  signals.Set("threshold", expr::EvalValue::Number(12.5));
+  signals.Set("brush",
+              expr::EvalValue::Array({data::Value::Double(1), data::Value::Double(9)}));
+  auto filled = testutil::FillSqlHoles(
+      "delay > ${threshold} AND x BETWEEN ${brush[0]} AND ${brush[1]}", signals);
+  ASSERT_TRUE(filled.ok()) << filled.status();
+  EXPECT_EQ(*filled, "delay > 12.5 AND x BETWEEN 1 AND 9");
+}
+
+TEST(FillSqlHolesTest, StringSignalQuoted) {
+  expr::MapSignalResolver signals;
+  signals.Set("field", expr::EvalValue::String("it's"));
+  auto filled = testutil::FillSqlHoles("f = ${field}", signals);
+  ASSERT_TRUE(filled.ok());
+  EXPECT_EQ(*filled, "f = 'it''s'");
+}
+
+TEST(FillSqlHolesTest, Errors) {
+  expr::MapSignalResolver signals;
+  signals.Set("arr", expr::EvalValue::Array({data::Value::Double(1)}));
+  EXPECT_FALSE(testutil::FillSqlHoles("x = ${missing}", signals).ok());
+  EXPECT_FALSE(testutil::FillSqlHoles("x = ${arr}", signals).ok());  // array without index
+  EXPECT_FALSE(testutil::FillSqlHoles("x = ${arr[", signals).ok());  // malformed
 }
 
 INSTANTIATE_TEST_SUITE_P(

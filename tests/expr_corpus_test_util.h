@@ -23,9 +23,8 @@ namespace testutil {
 /// (nulls + empties), timestamps (nulls), a low-cardinality category column
 /// (`sc`, 12 distinct + nulls — the dictionary-encoding sweet spot), and a
 /// high-cardinality string column (`sh`, mostly unique + nulls — the
-/// dictionary worst case). String columns take whatever physical form the
-/// data::SetDictionaryEncodingEnabled switch dictates at build time, so the
-/// same call builds the dictionary-encoded table and the flat twin.
+/// dictionary worst case). String columns are dictionary-encoded;
+/// FlatTwin (exec_test_util.h) builds the flat twin.
 inline data::TablePtr MakeRandomExprTable(uint64_t seed, size_t rows) {
   using data::Column;
   using data::DataType;

@@ -296,32 +296,6 @@ TEST(SqlTranslatorTest, StringLiteralEscaping) {
   EXPECT_EQ(SqlLiteral(data::Value::Bool(true)), "TRUE");
 }
 
-TEST(FillSqlHolesTest, ScalarAndIndexedHoles) {
-  MapSignalResolver signals;
-  signals.Set("threshold", EvalValue::Number(12.5));
-  signals.Set("brush", EvalValue::Array({Value::Double(1), Value::Double(9)}));
-  auto filled = FillSqlHoles("delay > ${threshold} AND x BETWEEN ${brush[0]} AND ${brush[1]}",
-                             signals);
-  ASSERT_TRUE(filled.ok()) << filled.status();
-  EXPECT_EQ(*filled, "delay > 12.5 AND x BETWEEN 1 AND 9");
-}
-
-TEST(FillSqlHolesTest, StringSignalQuoted) {
-  MapSignalResolver signals;
-  signals.Set("field", EvalValue::String("it's"));
-  auto filled = FillSqlHoles("f = ${field}", signals);
-  ASSERT_TRUE(filled.ok());
-  EXPECT_EQ(*filled, "f = 'it''s'");
-}
-
-TEST(FillSqlHolesTest, Errors) {
-  MapSignalResolver signals;
-  signals.Set("arr", EvalValue::Array({Value::Double(1)}));
-  EXPECT_FALSE(FillSqlHoles("x = ${missing}", signals).ok());
-  EXPECT_FALSE(FillSqlHoles("x = ${arr}", signals).ok());       // array without index
-  EXPECT_FALSE(FillSqlHoles("x = ${arr[", signals).ok());       // malformed
-}
-
 TEST(CollectHolesTest, FindsDistinctNames) {
   auto holes = CollectHoles("a ${x} b ${y[0]} c ${x}");
   ASSERT_EQ(holes.size(), 2u);

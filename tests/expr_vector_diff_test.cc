@@ -4,7 +4,8 @@
 // (expr::Evaluate row-at-a-time) and the compiled column-at-a-time engine
 // (expr::Compiler + expr::BatchEvaluator) over randomized columns, and the
 // results must be identical cell for cell. A second layer checks whole SQL
-// queries with the vectorized executor path toggled on and off. A third
+// queries on the vectorized engine against the same queries run with
+// QueryContext::vectorized = false. A third
 // binds signal-reading expressions per signal state (expr::BindSignals) and
 // checks the compiled bound tree against the interpreter on the original.
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "common/parallel.h"
 #include "data/column.h"
 #include "data/table.h"
+#include "exec_test_util.h"
 #include "expr/batch_eval.h"
 #include "expr/bind.h"
 #include "expr/compiler.h"
@@ -198,11 +200,8 @@ TEST_P(VectorEngineDiffTest, ExecutorAgreesWithScalarPath) {
       "ORDER BY sign_s",
   };
   for (const char* sql : queries) {
-    expr::SetVectorizedEnabled(true);
     auto vec = engine.Query(sql);
-    expr::SetVectorizedEnabled(false);
-    auto scalar = engine.Query(sql);
-    expr::SetVectorizedEnabled(true);
+    auto scalar = engine.Query(sql, &testutil::kInterpreted);
     ASSERT_TRUE(vec.ok()) << sql << ": " << vec.status();
     ASSERT_TRUE(scalar.ok()) << sql << ": " << scalar.status();
     ASSERT_EQ(vec->table->num_rows(), scalar->table->num_rows()) << sql;
@@ -440,20 +439,11 @@ Reference Interpret(const expr::NodePtr& node, const data::Table& table,
   return ref;
 }
 
-/// The same random data as MakeRandomExprTable builds, with flat strings.
-TablePtr MakeFlatTable(uint64_t seed, size_t rows) {
-  const bool saved = data::DictionaryEncodingEnabled();
-  data::SetDictionaryEncodingEnabled(false);
-  TablePtr table = testutil::MakeRandomExprTable(seed, rows);
-  data::SetDictionaryEncodingEnabled(saved);
-  return table;
-}
-
 TEST_P(VectorEngineDiffTest, SignalBoundCorpusMatchesInterpreter) {
   const uint64_t seed = GetParam() * 53 + 3;
   TablePtr dict = testutil::MakeRandomExprTable(seed, kRows);
   const std::pair<const char*, TablePtr> tables[] = {
-      {"dict", dict}, {"flat", MakeFlatTable(seed, kRows)}, {"all_null", AllNullTwin(*dict)}};
+      {"dict", dict}, {"flat", testutil::FlatTwin(*dict)}, {"all_null", AllNullTwin(*dict)}};
   const std::vector<SignalState> states = BindingStates();
   size_t compiled = 0, fallback = 0;
   for (const std::string& text : SignalCorpus()) {
@@ -503,7 +493,7 @@ TEST_P(VectorEngineDiffTest, TemplateFiltersBindToVectorProgramsAtEveryLength) {
   const uint64_t seed = GetParam() * 613 + 9;
   TablePtr dict = testutil::MakeRandomExprTable(seed, lengths.back());
   const std::pair<const char*, TablePtr> tables[] = {
-      {"dict", dict}, {"flat", MakeFlatTable(seed, lengths.back())}};
+      {"dict", dict}, {"flat", testutil::FlatTwin(*dict)}};
   for (const char* text : kTemplateFilters) {
     auto parsed = expr::ParseExpression(text);
     ASSERT_TRUE(parsed.ok()) << text;
@@ -536,12 +526,13 @@ TEST_P(VectorEngineDiffTest, TemplateFiltersBindToVectorProgramsAtEveryLength) {
   }
 }
 
-// The two call sites, with the vectorizer on against off. FilterOp keeps
-// the same rows either way. FormulaOp runs the original tree on the
-// interpreter, as with the vectorizer off, when the bound tree does not
-// compile; when it does, its cells equal the interpreter's values, while
-// its column type follows the compiler's static type, as for signal-free
-// formulas (the interpreted column's first-non-null type can coerce cells).
+// The two call sites against the interpreter on the original tree. FilterOp
+// keeps exactly the rows expr::Evaluate finds truthy, whether the bound
+// tree compiles or not. FormulaOp runs the original tree on the interpreter
+// when the bound tree does not compile; when it does, its cells equal the
+// interpreter's values, while its column type follows the compiler's static
+// type, as for signal-free formulas (the interpreted column's
+// first-non-null type can coerce cells).
 TEST_P(VectorEngineDiffTest, FilterAndFormulaOpsBindSignals) {
   TablePtr table = MakeRandomTable(GetParam() * 71 + 13);
   const std::vector<SignalState> states = BindingStates();
@@ -554,21 +545,13 @@ TEST_P(VectorEngineDiffTest, FilterAndFormulaOpsBindSignals) {
       const std::string where = text + " [" + state.label + "]";
       auto kept = filter.Evaluate(table, state.signals);
       auto computed = formula.Evaluate(table, state.signals);
-      expr::SetVectorizedEnabled(false);
-      auto kept_off = filter.Evaluate(table, state.signals);
-      auto computed_off = formula.Evaluate(table, state.signals);
-      expr::SetVectorizedEnabled(true);
-      ASSERT_TRUE(kept.ok() && computed.ok() && kept_off.ok() && computed_off.ok())
-          << where;
-      EXPECT_TRUE(kept->table->Equals(*kept_off->table)) << where;
+      ASSERT_TRUE(kept.ok() && computed.ok()) << where;
+      const Reference ref = Interpret(*parsed, *table, state.signals);
+      EXPECT_TRUE(kept->table->Equals(*table->Take(ref.selected))) << where;
       const bool compiles = expr::Compiler::Compile(expr::BindSignals(*parsed, state.signals),
                                                     table->schema())
                                 .has_value();
-      if (!compiles) {
-        EXPECT_TRUE(computed->table->Equals(*computed_off->table)) << where;
-        continue;
-      }
-      const Reference ref = Interpret(*parsed, *table, state.signals);
+      if (!compiles) continue;  // FormulaOp ran the interpreter itself
       const data::Column* out = computed->table->ColumnByName("out");
       ASSERT_NE(out, nullptr) << where;
       ASSERT_EQ(out->length(), ref.cells.size()) << where;

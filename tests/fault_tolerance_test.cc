@@ -428,8 +428,7 @@ TEST_F(FaultToleranceTest, CoarserTileLevelServedWhenBackendDown) {
   MiddlewareOptions plain;
   plain.enable_client_cache = false;
   plain.enable_server_cache = false;
-  plain.engine_config = EngineConfig::Current();
-  plain.engine_config->tile_serving = false;
+  plain.tile_serving = false;
   Middleware base(&engine_, plain);
   auto base_handle = base.Prepare(sql);
   ASSERT_TRUE(base_handle.ok());

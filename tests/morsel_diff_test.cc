@@ -12,6 +12,7 @@
 
 #include "common/parallel.h"
 #include "data/table.h"
+#include "exec_test_util.h"
 #include "expr/batch_eval.h"
 #include "expr/compiler.h"
 #include "expr/parser.h"
@@ -24,28 +25,8 @@ namespace {
 
 using data::TablePtr;
 using data::Value;
+using testutil::MorselConfigGuard;
 using testutil::SameCell;
-
-/// Pin the morsel configuration for one test and restore defaults after.
-/// Small odd morsels + forced parallelism make even small tables span many
-/// morsels with short boundary chunks, on any machine (including 1-core CI).
-class MorselConfigGuard {
- public:
-  MorselConfigGuard(size_t morsel_rows, size_t threads)
-      : saved_rows_(parallel::MorselRows()) {
-    parallel::SetMorselRows(morsel_rows);
-    parallel::SetMorselParallelism(threads);
-  }
-  ~MorselConfigGuard() {
-    parallel::SetMorselParallelism(0);  // 0 = hardware default (no getter for
-                                        // the raw setting; tests always run
-                                        // from the default)
-    parallel::SetMorselRows(saved_rows_);
-  }
-
- private:
-  size_t saved_rows_;
-};
 
 TEST(MorselDiffTest, CorpusRegistersMatchSingleThreaded) {
   MorselConfigGuard guard(/*morsel_rows=*/257, /*threads=*/4);
@@ -102,8 +83,8 @@ class MorselQueryDiffTest : public ::testing::Test {
     engine_.RegisterTable("t", table_);
   }
 
-  data::TablePtr Run(const char* sql) {
-    auto result = engine_.Query(sql);
+  data::TablePtr Run(const char* sql, const common::QueryContext* ctx = nullptr) {
+    auto result = engine_.Query(sql, ctx);
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status();
     return result.ok() ? result->table : nullptr;
   }
@@ -148,22 +129,21 @@ TEST_F(MorselQueryDiffTest, QueriesMatchKillSwitchPath) {
 }
 
 // The chunked aggregation merge is also exercised on the scalar interpreter
-// path (vectorization off): determinism must not depend on the compiler.
+// path (a context with vectorized = false): determinism must not depend on
+// the compiler, and the interpreted results equal the vectorized ones.
 TEST_F(MorselQueryDiffTest, ScalarPathQueriesMatchKillSwitchPath) {
-  struct VectorizedOffGuard {
-    VectorizedOffGuard() { expr::SetVectorizedEnabled(false); }
-    ~VectorizedOffGuard() { expr::SetVectorizedEnabled(true); }
-  };
   MorselConfigGuard guard(/*morsel_rows=*/1024, /*threads=*/4);
-  VectorizedOffGuard vectorized_off;  // restored even when an ASSERT bails out
   for (const char* sql : kQueries) {
-    data::TablePtr on = Run(sql);
+    data::TablePtr on = Run(sql, &testutil::kInterpreted);
     parallel::SetMorselParallelism(1);
-    data::TablePtr off = Run(sql);
+    data::TablePtr off = Run(sql, &testutil::kInterpreted);
     parallel::SetMorselParallelism(4);
+    data::TablePtr vectorized = Run(sql);
     ASSERT_NE(on, nullptr) << sql;
     ASSERT_NE(off, nullptr) << sql;
+    ASSERT_NE(vectorized, nullptr) << sql;
     ASSERT_TRUE(on->Equals(*off)) << sql;
+    ASSERT_TRUE(on->Equals(*vectorized)) << sql;
   }
 }
 

@@ -403,14 +403,8 @@ TEST(BaselineTest, VegaFusionBeatsVegaAtScaleOnInit) {
 // End-to-end output oracle: Vega (every transform client-side, so every
 // signal-reading filter runs in FilterOp) against VegaFusion (full
 // pushdown), mark data compared with Table::Equals after each interaction,
-// on every interactive template and dataset, with the vectorizer on and off.
-class BaselineAgreementTest : public ::testing::TestWithParam<bool> {
- protected:
-  void SetUp() override { expr::SetVectorizedEnabled(GetParam()); }
-  void TearDown() override { expr::SetVectorizedEnabled(true); }
-};
-
-TEST_P(BaselineAgreementTest, BaselinesAgreeOnVisualizationData) {
+// on every interactive template and dataset.
+TEST(BaselineAgreementTest, BaselinesAgreeOnVisualizationData) {
   size_t comparisons = 0;
   for (TemplateId id : benchdata::AllTemplates()) {
     if (!benchdata::IsInteractive(id)) continue;
@@ -451,11 +445,6 @@ TEST_P(BaselineAgreementTest, BaselinesAgreeOnVisualizationData) {
   }
   EXPECT_EQ(comparisons, 1040u);  // 13 marks x 4 datasets x 20 interactions
 }
-
-INSTANTIATE_TEST_SUITE_P(Vectorizer, BaselineAgreementTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? std::string("on") : std::string("off");
-                         });
 
 TEST(PlanExecutorTest, InteractBeforeInitializeFails) {
   auto bc = benchdata::MakeBenchCase(TemplateId::kInteractiveHistogram, "movies", 500, 2);

@@ -262,9 +262,9 @@ TEST(SqlBrushTest, LeastGreatestBrushRunsFusedKernels) {
   ASSERT_TRUE(fused.ok()) << fused.status();
   EXPECT_GT(kernels::BitmapSelections() - before, 0u);
 
-  expr::SetVectorizedEnabled(false);
-  auto interpreted = engine.Query(sql);
-  expr::SetVectorizedEnabled(true);
+  common::QueryContext interpreter;
+  interpreter.vectorized = false;
+  auto interpreted = engine.Query(sql, &interpreter);
   ASSERT_TRUE(interpreted.ok()) << interpreted.status();
   EXPECT_TRUE(fused->table->Equals(*interpreted->table));
 

@@ -21,12 +21,12 @@
 #include "data/ipc.h"
 #include "data/stats.h"
 #include "data/table.h"
+#include "exec_test_util.h"
 #include "expr/batch_eval.h"
 #include "expr/bind.h"
 #include "expr/compiler.h"
 #include "expr/parser.h"
 #include "expr_corpus_test_util.h"
-#include "runtime/engine_config.h"
 #include "runtime/middleware.h"
 #include "sql/engine.h"
 #include "sql/sql_parser.h"
@@ -40,51 +40,13 @@ namespace vegaplus {
 namespace {
 
 using data::TablePtr;
+using testutil::kInterpreted;
+using testutil::kUnpruned;
+using testutil::MorselConfigGuard;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "vps_storage_diff_" + name;
 }
-
-/// Pin the morsel configuration for one test; restore defaults after.
-class MorselConfigGuard {
- public:
-  MorselConfigGuard(size_t morsel_rows, size_t threads)
-      : saved_rows_(parallel::MorselRows()) {
-    parallel::SetMorselRows(morsel_rows);
-    parallel::SetMorselParallelism(threads);
-  }
-  ~MorselConfigGuard() {
-    parallel::SetMorselParallelism(0);
-    parallel::SetMorselRows(saved_rows_);
-  }
-
- private:
-  size_t saved_rows_;
-};
-
-class PruningGuard {
- public:
-  explicit PruningGuard(bool enabled)
-      : saved_(storage::ZoneMapPruningEnabled()) {
-    storage::SetZoneMapPruningEnabled(enabled);
-  }
-  ~PruningGuard() { storage::SetZoneMapPruningEnabled(saved_); }
-
- private:
-  bool saved_;
-};
-
-class DictEncodingGuard {
- public:
-  explicit DictEncodingGuard(bool enabled)
-      : saved_(data::DictionaryEncodingEnabled()) {
-    data::SetDictionaryEncodingEnabled(enabled);
-  }
-  ~DictEncodingGuard() { data::SetDictionaryEncodingEnabled(saved_); }
-
- private:
-  bool saved_;
-};
 
 /// A clustered table where zone maps actually exclude: `x` is monotone over
 /// the rows (so chunk/morsel ranges are disjoint), `cat` cycles through a
@@ -122,8 +84,8 @@ TablePtr MakeClusteredTable(size_t rows) {
 
 TEST(StorageRoundTripTest, ShardRoundTripsBitIdentically) {
   for (bool dict : {true, false}) {
-    DictEncodingGuard guard(dict);
     TablePtr table = testutil::MakeRandomExprTable(11, /*rows=*/5000);
+    if (!dict) table = testutil::FlatTwin(*table);
     const std::string path =
         TempPath(dict ? "roundtrip_dict.vps" : "roundtrip_flat.vps");
     storage::WriteOptions opts;
@@ -233,8 +195,9 @@ class StorageDiffTest : public ::testing::Test {
 
   void TearDown() override { std::remove(path_.c_str()); }
 
-  TablePtr Run(sql::Engine& engine, const char* sql) {
-    auto result = engine.Query(sql);
+  TablePtr Run(sql::Engine& engine, const char* sql,
+              const common::QueryContext* ctx = nullptr) {
+    auto result = engine.Query(sql, ctx);
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status();
     return result.ok() ? result->table : nullptr;
   }
@@ -252,10 +215,10 @@ TEST_F(StorageDiffTest, ShardAnswersQueriesBitIdenticallyAcrossThreads) {
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     MorselConfigGuard guard(/*morsel_rows=*/1024, threads);
     for (bool pruning : {true, false}) {
-      PruningGuard pruning_guard(pruning);
+      const common::QueryContext* ctx = pruning ? nullptr : &kUnpruned;
       for (const char* sql : kShardQueries) {
-        TablePtr want = Run(mem_engine_, sql);
-        TablePtr got = Run(shard_engine_, sql);
+        TablePtr want = Run(mem_engine_, sql, ctx);
+        TablePtr got = Run(shard_engine_, sql, ctx);
         ASSERT_NE(want, nullptr) << sql;
         ASSERT_NE(got, nullptr) << sql;
         ASSERT_TRUE(got->Equals(*want))
@@ -319,18 +282,10 @@ TEST_F(StorageDiffTest, SelectiveBrushPrunesChunksWithZeroDivergence) {
   for (const char* sql : brushes) {
     (*reader)->EvictAll();
     const uint64_t pruned_before = storage::ChunksPruned();
-    TablePtr on;
-    {
-      PruningGuard guard(true);
-      on = Run(shard, sql);
-    }
+    TablePtr on = Run(shard, sql);
     const uint64_t pruned_delta = storage::ChunksPruned() - pruned_before;
     (*reader)->EvictAll();
-    TablePtr off;
-    {
-      PruningGuard guard(false);
-      off = Run(shard, sql);
-    }
+    TablePtr off = Run(shard, sql, &kUnpruned);
     TablePtr want = Run(mem, sql);
     ASSERT_NE(on, nullptr) << sql;
     ASSERT_NE(off, nullptr) << sql;
@@ -339,17 +294,50 @@ TEST_F(StorageDiffTest, SelectiveBrushPrunesChunksWithZeroDivergence) {
     ASSERT_TRUE(on->Equals(*off)) << sql;
     ASSERT_TRUE(on->Equals(*want)) << sql;
   }
-  // A NULL bound selects nothing, on the shard as in memory. (A compare
-  // with a null constant is not fused, so zone maps do not see it.)
-  const char* null_bound =
-      "SELECT COUNT(*) AS n FROM c WHERE (x BETWEEN LEAST(NULL, 600) AND "
-      "GREATEST(NULL, 600))";
-  TablePtr on = Run(shard, null_bound);
-  TablePtr want = Run(mem, null_bound);
-  ASSERT_NE(on, nullptr);
-  ASSERT_NE(want, nullptr);
-  EXPECT_TRUE(on->Equals(*want));
-  EXPECT_EQ(on->ValueAt(0, "n"), data::Value::Int(0));
+  std::remove(path.c_str());
+}
+
+// An ordered compare against a NULL bound is false on every row, so the
+// fused leaf selects nothing and every zone refutes it: the shard pages in
+// no chunk, and the answer equals the in-memory engine's and the
+// interpreter's, which scans every chunk.
+TEST_F(StorageDiffTest, NullBrushBoundPagesInNothing) {
+  constexpr size_t kRows = 20000;
+  TablePtr clustered = MakeClusteredTable(kRows);
+  const std::string path = TempPath("clustered_null.vps");
+  storage::WriteOptions opts;
+  opts.chunk_rows = 1000;
+  ASSERT_TRUE(storage::TableShard::Write(path, *clustered, opts).ok());
+  auto reader = storage::Reader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  ASSERT_EQ((*reader)->num_chunks(), 20u);
+  sql::Engine mem;
+  mem.RegisterTable("c", clustered);
+  sql::Engine shard;
+  ASSERT_TRUE(shard.RegisterShardTable("c", *reader).ok());
+
+  for (const char* sql :
+       {"SELECT COUNT(*) AS n FROM c WHERE (x BETWEEN LEAST(NULL, 600) AND "
+        "GREATEST(NULL, 600))",
+        "SELECT COUNT(*) AS n FROM c WHERE x >= NULL"}) {
+    (*reader)->EvictAll();
+    const uint64_t paged_before = storage::ChunksPagedIn();
+    auto pruned = shard.Query(sql);
+    const uint64_t paged = storage::ChunksPagedIn() - paged_before;
+    ASSERT_TRUE(pruned.ok()) << sql << ": " << pruned.status();
+    EXPECT_EQ(paged, 0u) << sql;
+    EXPECT_EQ(pruned->stats.rows_scanned, 0u) << sql;
+    EXPECT_EQ(pruned->table->ValueAt(0, "n"), data::Value::Int(0)) << sql;
+
+    auto interpreted = shard.Query(sql, &kInterpreted);
+    auto want = mem.Query(sql);
+    ASSERT_TRUE(interpreted.ok()) << sql << ": " << interpreted.status();
+    ASSERT_TRUE(want.ok()) << sql << ": " << want.status();
+    EXPECT_EQ(interpreted->stats.rows_scanned, kRows) << sql;
+    const std::string bytes = data::SerializeBinary(*pruned->table);
+    EXPECT_EQ(bytes, data::SerializeBinary(*interpreted->table)) << sql;
+    EXPECT_EQ(bytes, data::SerializeBinary(*want->table)) << sql;
+  }
   std::remove(path.c_str());
 }
 
@@ -388,8 +376,7 @@ TEST_F(StorageDiffTest, ShardRowsScannedCountsRowsOfSurvivingChunks) {
   };
   for (const auto& c : cases) {
     for (bool pruning : {true, false}) {
-      PruningGuard guard(pruning);
-      auto result = shard.Query(c.sql);
+      auto result = shard.Query(c.sql, pruning ? nullptr : &kUnpruned);
       ASSERT_TRUE(result.ok()) << c.sql << ": " << result.status();
       EXPECT_EQ(result->stats.rows_scanned, pruning ? c.pruned_rows_scanned : kRows)
           << c.sql << " pruning=" << pruning;
@@ -421,15 +408,9 @@ TEST(StorageMorselPruningTest, InMemoryMorselPruningMatchesUnpruned) {
 
       const uint64_t pruned_before = storage::MorselsPruned();
       std::vector<int32_t> on, off;
-      {
-        PruningGuard pruning(true);
-        expr::RunFilterMorselParallel(*table, *program, &on);
-      }
+      expr::RunFilterMorselParallel(*table, *program, &on);
       const uint64_t pruned_delta = storage::MorselsPruned() - pruned_before;
-      {
-        PruningGuard pruning(false);
-        expr::RunFilterMorselParallel(*table, *program, &off);
-      }
+      expr::RunFilterMorselParallel(*table, *program, &off, &kUnpruned);
       EXPECT_EQ(on, off) << text << " threads=" << threads;
       EXPECT_GT(pruned_delta, 0u) << text << " threads=" << threads;
     }
@@ -569,6 +550,57 @@ TEST(StorageConcurrencyTest, ConcurrentScansUnderEvictionStayIdentical) {
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << t;
   EXPECT_GT(storage::ChunksPagedIn(), 0u);
   std::remove(path.c_str());
+}
+
+// Execution options travel with the query: two threads share one shard
+// engine, one with the default context and one with vectorization and
+// pruning off. Every result is bit-identical to its solo run and every
+// rows_scanned equals its solo value. The two sides scan different row
+// counts, so an option leaking from one query into the other would show.
+TEST_F(StorageDiffTest, ConcurrentQueriesKeepTheirOwnOptions) {
+  const common::QueryContext baseline{nullptr, /*vectorized=*/false,
+                                      /*zone_map_pruning=*/false};
+  const common::QueryContext* const contexts[] = {nullptr, &baseline};
+  struct Solo {
+    std::string bytes;
+    size_t rows_scanned = 0;
+  };
+  std::vector<Solo> solo[2];
+  for (int side = 0; side < 2; ++side) {
+    for (const char* sql : kShardQueries) {
+      auto result = shard_engine_.Query(sql, contexts[side]);
+      ASSERT_TRUE(result.ok()) << sql << ": " << result.status();
+      solo[side].push_back(
+          {data::SerializeBinary(*result->table), result->stats.rows_scanned});
+    }
+  }
+  size_t differing = 0;
+  for (size_t q = 0; q < solo[0].size(); ++q) {
+    if (solo[0][q].rows_scanned != solo[1][q].rows_scanned) ++differing;
+  }
+  ASSERT_GT(differing, 0u);
+
+  constexpr int kRounds = 3;
+  int mismatches[2] = {0, 0};
+  std::vector<std::thread> threads;
+  for (int side = 0; side < 2; ++side) {
+    threads.emplace_back([&, side] {
+      for (int round = 0; round < kRounds; ++round) {
+        size_t q = 0;
+        for (const char* sql : kShardQueries) {
+          auto result = shard_engine_.Query(sql, contexts[side]);
+          const Solo& want = solo[side][q++];
+          if (!result.ok() || result->stats.rows_scanned != want.rows_scanned ||
+              data::SerializeBinary(*result->table) != want.bytes) {
+            ++mismatches[side];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches[0], 0) << "default context";
+  EXPECT_EQ(mismatches[1], 0) << "vectorized = false, zone_map_pruning = false";
 }
 
 // ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@
 #include "common/str_util.h"
 #include "data/stats.h"
 #include "data/table.h"
-#include "runtime/engine_config.h"
+#include "exec_test_util.h"
 #include "runtime/middleware.h"
 #include "storage/reader.h"
 #include "storage/stats.h"
@@ -93,8 +93,7 @@ class TileDiffTest : public ::testing::Test {
     MiddlewareOptions plain;
     plain.enable_client_cache = false;
     plain.enable_server_cache = false;
-    plain.engine_config = EngineConfig::Current();
-    plain.engine_config->tile_serving = false;
+    plain.tile_serving = false;
     base_mw_ = std::make_unique<Middleware>(&engine_, plain);
     ASSERT_EQ(base_mw_->tile_store(), nullptr);
   }
@@ -229,10 +228,8 @@ TEST_F(TileDiffTest, UncoveredShapesFallBack) {
 
 TEST_F(TileDiffTest, MorselThreadSweepBitIdentical) {
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    EngineConfig cfg = EngineConfig::Current();
-    cfg.morsel_threads = threads;
-    cfg.morsel_rows = 1024;  // many chunks on the 20k-row corpus
-    ScopedEngineConfig scoped(cfg);
+    // Many chunks on the 20k-row corpus.
+    testutil::MorselConfigGuard guard(/*morsel_rows=*/1024, threads);
 
     // Fresh middlewares so trees are rebuilt under this thread count.
     MiddlewareOptions opts;
@@ -240,8 +237,7 @@ TEST_F(TileDiffTest, MorselThreadSweepBitIdentical) {
     opts.enable_server_cache = false;
     tile_mw_ = std::make_unique<Middleware>(&engine_, opts);
     MiddlewareOptions plain = opts;
-    plain.engine_config = cfg;
-    plain.engine_config->tile_serving = false;
+    plain.tile_serving = false;
     base_mw_ = std::make_unique<Middleware>(&engine_, plain);
 
     for (int maxbins : {10, 57}) {
