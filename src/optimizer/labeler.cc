@@ -77,7 +77,6 @@ Status SessionLabeler::BuildTemplates() {
       // split == 0 on a root: raw fetch.
       DataTemplate& raw = data_templates_[e][0];
       const std::string sql = rewrite::RenderPipelineSql(pipeline);
-      raw.present = true;
       VP_ASSIGN_OR_RETURN(raw.prepared, sql::PrepareStatement(sql));
       raw.derived = pipeline.derived;
       raw.deps = rewrite::VdtSignalDeps(sql, pipeline.derived);
@@ -101,7 +100,6 @@ Status SessionLabeler::BuildTemplates() {
         }
         DataTemplate& tpl = data_templates_[e][static_cast<size_t>(s)];
         const std::string sql = rewrite::RenderPipelineSql(pipeline);
-        tpl.present = true;
         VP_ASSIGN_OR_RETURN(tpl.prepared, sql::PrepareStatement(sql));
         tpl.derived = pipeline.derived;
         tpl.deps = rewrite::VdtSignalDeps(sql, tpl.derived);
@@ -230,7 +228,7 @@ Result<std::vector<double>> SessionLabeler::LabelEpisode(
       cost.sides.push_back(PlanQuery{c.latency_ms, &side.deps, &side.output_signal});
     }
     const DataTemplate& tpl = data_templates_[e][static_cast<size_t>(split)];
-    if (tpl.present && (initial || ChainReevaluates(e, split))) {
+    if (tpl.prepared != nullptr && (initial || ChainReevaluates(e, split))) {
       rewrite::DerivedResolver resolver(registry, tpl.derived);
       VP_RETURN_IF_ERROR(resolver.Materialize());
       VP_ASSIGN_OR_RETURN(sql::SelectPtr bound,

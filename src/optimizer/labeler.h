@@ -86,8 +86,7 @@ class SessionLabeler {
  private:
   // Templates are prepared once in BuildTemplates and bound per episode.
   struct DataTemplate {
-    bool present = false;
-    sql::PreparedPtr prepared;
+    sql::PreparedPtr prepared;  // null where the split is infeasible
     std::vector<rewrite::DerivedParam> derived;
     /// Signals the query reads (wave leveling, mirrors VDT dirty deps).
     std::vector<std::string> deps;

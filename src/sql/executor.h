@@ -41,11 +41,11 @@ struct ExecStats {
 /// `ctx` (optional) carries the query's execution options and its
 /// cooperative cancellation token (common/cancel.h); this function and its
 /// helpers are the only readers of the options. The pipeline checkpoints
-/// between stages and between
-/// morsels/chunks inside the scan, filter, and aggregation loops; a fired
-/// token aborts with Status::Cancelled / kDeadlineExceeded. Work counters
-/// for the stages that did run are still added to `stats` on abort, so a
-/// cancelled scan reports the rows it actually touched.
+/// between stages and between morsels/chunks inside the scan, filter, and
+/// aggregation loops; a fired token aborts with Status::Cancelled /
+/// kDeadlineExceeded. Work counters for the stages that did run are still
+/// added to `stats` on abort, so a cancelled scan reports the rows it
+/// actually touched.
 Result<data::TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
                                      ExecStats* stats,
                                      const common::QueryContext* ctx = nullptr);

@@ -83,7 +83,7 @@ class DifferentialTest
       ASSERT_TRUE(rewrite::ExtendPipeline(&pipeline, ts, uid++).ok());
     }
 
-    // Server side (legacy path: fill holes as SQL text, parse, execute).
+    // Server side through the text oracle: fill holes as SQL text, parse, execute.
     std::string sql_template = rewrite::RenderPipelineSql(pipeline);
     rewrite::DerivedResolver resolver(*signals, pipeline.derived);
     ASSERT_TRUE(resolver.Materialize().ok());
@@ -93,14 +93,14 @@ class DifferentialTest
     ASSERT_TRUE(server.ok()) << server.status() << "\n" << *sql;
 
     // Prepared path (parse template once, bind parameters into the AST) must
-    // be bit-identical to the legacy fill-and-parse path.
+    // be bit-identical to the fill-and-parse oracle.
     auto prepared = engine_.Prepare(sql_template);
     ASSERT_TRUE(prepared.ok()) << prepared.status() << "\n" << sql_template;
     auto bound = engine_.ExecuteBound(**prepared, resolver);
     ASSERT_TRUE(bound.ok()) << bound.status() << "\n" << (*prepared)->canonical_sql;
     EXPECT_TRUE(data::SerializeBinary(*bound->table) ==
                 data::SerializeBinary(*server->table))
-        << "prepared/legacy result mismatch\n" << *sql;
+        << "prepared/oracle result mismatch\n" << *sql;
 
     const data::Table& st = *server->table;
     ASSERT_EQ(client->num_rows(), st.num_rows()) << *sql;
